@@ -1,6 +1,7 @@
 // Benchmarks regenerating the performance-shaped experiments of
-// EXPERIMENTS.md (E1–E13). Qualitative artifacts (the figures' HTML/XML)
-// are produced by cmd/navbench; these benches measure the mechanisms.
+// internal/experiments (E1–E14; `navbench -list` names them).
+// Qualitative artifacts (the figures' HTML/XML) are produced by
+// cmd/navbench; these benches measure the mechanisms.
 package navaspect_test
 
 import (
@@ -122,7 +123,8 @@ func BenchmarkE7LinkbaseRoundTrip(b *testing.B) {
 }
 
 // BenchmarkE8ChangeCost measures the change-cost analysis itself at the
-// sizes EXPERIMENTS.md reports.
+// three smallest context sizes experiment e8 (`navbench -exp e8`)
+// reports.
 func BenchmarkE8ChangeCost(b *testing.B) {
 	for _, n := range []int{3, 10, 50} {
 		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {

@@ -1,5 +1,6 @@
 // Command navbench regenerates the paper's figures and the quantified
-// claims as experiment output — the harness behind EXPERIMENTS.md.
+// claims as experiment output — the CLI front end of
+// internal/experiments.
 //
 // Usage:
 //

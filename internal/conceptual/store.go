@@ -72,8 +72,8 @@ func (s *Store) Add(class, id string, attrs map[string]string) (*Instance, error
 
 // SetAttr updates one attribute of an existing instance, validated
 // against the class declaration — the minimal content edit (a curator
-// fixing one caption) that core.InvalidateDocument turns into a narrow
-// cache invalidation. Required attributes cannot be cleared to "".
+// fixing one caption); core.App.EditDocument applies edits through
+// SetAttrs and turns them into a narrow cache invalidation. Required attributes cannot be cleared to "".
 func (s *Store) SetAttr(id, name, value string) error {
 	inst := s.instances[id]
 	if inst == nil {

@@ -44,3 +44,22 @@ func TestDocBytesAllocs(t *testing.T) {
 		t.Errorf("doc lookup = %.2f allocs/op, want 0", avg)
 	}
 }
+
+// TestRenderPageAllocs bounds one uncached member-page weave — the
+// cost every cache miss pays. The HTML escapers are built once per
+// process; rebuilding a strings.Replacer per escaped string cost ~150
+// more allocations (and ~140 KB) per page.
+func TestRenderPageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	app := paperApp(t, navigation.IndexedGuidedTour{})
+	const budget = 140
+	if avg := testing.AllocsPerRun(50, func() {
+		if _, err := app.RenderPage("ByMovement:cubism", "guitar"); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > budget {
+		t.Errorf("uncached weave = %.0f allocs/op, want <= %d", avg, budget)
+	}
+}

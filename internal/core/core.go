@@ -21,9 +21,12 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -445,41 +448,95 @@ func (app *App) SetAccessStructures(swaps map[string]navigation.AccessStructure)
 	return dropped, nil
 }
 
-// InvalidateDocument re-derives the model after an edit to the data
-// behind the named document (conceptual.Store.SetAttr) and drops
-// exactly the cached pages the edit touched, returning how many. The
-// uri is the document's repository name (navigation.NodeHref of the
-// node, e.g. "guitar.xml"); naming a document the repository does not
-// hold is an error.
+// ErrUnknownInstance reports a document edit naming an instance the
+// store does not hold; the control plane answers 404 for it.
+var ErrUnknownInstance = errors.New("unknown instance")
+
+// ErrInvalidEdit reports a document edit the instance's class
+// declaration rejects (unknown attribute, non-integer value, cleared
+// required attribute); nothing was applied. The control plane answers
+// 400 for it.
+var ErrInvalidEdit = errors.New("invalid edit")
+
+// EditDocument applies a content edit to instance id — set maps
+// attribute names to new values, validated as a batch before any is
+// applied — and drops exactly the cached pages the edit touched,
+// returning how many. Validation, the edit and the re-derivation run
+// under one hold of the model lock, so no render sees the edit without
+// its invalidation.
 //
-// The rebuild diff — not the caller — decides the blast radius. A
-// caption-only edit changes just the document's bytes, so only the
-// pages woven from it (in every context containing its node) drop and
-// every other validator keeps serving 304s. An edit that reaches the
-// navigational surface — a title that anchors and the linkbase
-// display, an attribute a tour is ordered by — changes the signature
-// and invalidates as widely as it must. Getting that radius right
-// costs a full re-derivation at mutation time; the request path stays
-// untouched either way.
-func (app *App) InvalidateDocument(uri string) (int, error) {
+// The navigational model decides how much to re-derive. An edit that
+// changes no attribute navigation reads (navigation.Model.ReadsAttr:
+// titles, orderings, Where filters) cannot change the linkbase — the
+// paper's separation — so only the instance's own document is
+// re-exported and the pages woven from it are dropped; the resolved
+// model, links.xml and every other validator stay as they were. An
+// edit that reaches the navigational surface runs the full rebuild,
+// whose diff invalidates as widely as it must.
+func (app *App) EditDocument(id string, set map[string]string) (int, error) {
 	start := time.Now()
 	app.mu.Lock()
 	defer app.mu.Unlock()
-	dropped, verdict, err := app.rebuild()
-	if err != nil {
-		return dropped, err
+	inst := app.store.Get(id)
+	if inst == nil {
+		return 0, fmt.Errorf("core: %w %q", ErrUnknownInstance, id)
 	}
-	if _, ok := app.repo[uri]; !ok {
-		return dropped, fmt.Errorf("core: no document %q", uri)
+	navigational := false
+	for name, value := range set {
+		if inst.Attr(name) != value && app.model.ReadsAttr(inst.Class, name) {
+			navigational = true
+		}
 	}
-	app.recordMutation("document", uri, start, dropped, verdict)
+	if err := app.store.SetAttrs(id, set); err != nil {
+		return 0, fmt.Errorf("core: %w: %v", ErrInvalidEdit, err)
+	}
+	var dropped int
+	var verdict string
+	if navigational {
+		var err error
+		if dropped, verdict, err = app.rebuild(); err != nil {
+			return dropped, err
+		}
+	} else {
+		dropped, verdict = app.reexportLocked(inst)
+	}
+	app.recordMutation("document", navigation.NodeHref(id), start, dropped, verdict)
 	return dropped, nil
+}
+
+// reexportLocked is the content-only rebuild: it re-exports one
+// instance's data document and, when its bytes changed, drops the pages
+// woven from it, installs the document in a copy of the repository
+// (Repository hands the map out, so it is never written in place) and
+// stamps a fresh validator under the new cache generation — the same
+// outcome the full rebuild's diff reaches for an edit navigation does
+// not read, without re-resolving or re-serializing anything else.
+// Callers must hold app.mu for writing.
+func (app *App) reexportLocked(inst *conceptual.Instance) (int, string) {
+	start := time.Now()
+	uri := navigation.NodeHref(inst.ID)
+	doc := conceptual.ExportInstance(app.store, inst)
+	body := []byte(doc.IndentedString())
+	dropped, verdict := 0, verdictNone
+	if old, ok := app.docs.get(uri); !ok || !bytes.Equal(old.body, body) {
+		dropped = app.cache.invalidateMatching(func(p *Page) bool {
+			return slices.Contains(p.deps.docs, uri)
+		})
+		verdict = verdictLocal
+		repo := maps.Clone(app.repo)
+		repo[uri] = doc
+		app.repo = repo
+		app.docs.put(uri, body, app.cache.generation())
+	}
+	rebuildDuration.Observe(time.Since(start))
+	rebuildsByVerdict[verdict].Inc()
+	return dropped, verdict
 }
 
 // DocBytes returns the serialized form of repository document uri with
 // its precomputed strong validator and Content-Length. The bytes are
-// produced once, at mutation time (rebuild and InvalidateDocument keep
-// the cache seeded for the whole repository), so the request path
+// produced once, at mutation time (rebuild and EditDocument keep the
+// cache seeded for the whole repository), so the request path
 // neither serializes, hashes nor formats. The returned slice is shared:
 // callers must not modify it.
 //

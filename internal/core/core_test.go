@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/aspect"
@@ -12,7 +13,7 @@ import (
 	"repro/internal/presentation"
 )
 
-func paperApp(t *testing.T, access navigation.AccessStructure) *App {
+func paperApp(t testing.TB, access navigation.AccessStructure) *App {
 	t.Helper()
 	app, err := NewApp(museum.PaperStore(), museum.Model(access))
 	if err != nil {
@@ -304,12 +305,16 @@ func TestWeaveTrace(t *testing.T) {
 // navigation and checks both advise the same join points.
 func TestAdditionalAspectComposes(t *testing.T) {
 	app := paperApp(t, navigation.Index{})
+	// WeaveSite runs the advice from parallel page workers.
+	var mu sync.Mutex
 	var audited []string
 	audit := aspect.NewAspect("audit")
 	audit.AfterAdvice("log", aspect.MustCompilePointcut("kind(page.render)"), 10,
 		func(jp *aspect.JoinPoint, _ any, err error) {
 			if err == nil {
+				mu.Lock()
 				audited = append(audited, jp.Attr("context")+"/"+jp.Name)
+				mu.Unlock()
 			}
 		})
 	app.Weaver().Use(audit)

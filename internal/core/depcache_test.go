@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -169,10 +170,10 @@ func TestSetStylesheetSparesHubPages(t *testing.T) {
 	}
 }
 
-// TestInvalidateDocumentDropsOnlyDependents: a content edit to one data
+// TestEditDocumentDropsOnlyDependents: a content edit to one data
 // document re-weaves exactly the pages woven from it — in every context
 // containing the node — and no others.
-func TestInvalidateDocumentDropsOnlyDependents(t *testing.T) {
+func TestEditDocumentDropsOnlyDependents(t *testing.T) {
 	app := paperApp(t, navigation.IndexedGuidedTour{})
 	warm := func(ctx, node string) *Page {
 		t.Helper()
@@ -186,11 +187,9 @@ func TestInvalidateDocumentDropsOnlyDependents(t *testing.T) {
 	warm("ByMovement:cubism", "guitar")
 	memory := warm("ByMovement:surrealism", "memory")
 
-	if err := app.Store().SetAttr("guitar", "technique", "Sheet metal and wire"); err != nil {
-		t.Fatal(err)
-	}
-	if dropped, err := app.InvalidateDocument("guitar.xml"); err != nil || dropped != 2 {
-		t.Errorf("InvalidateDocument = (%d, %v), want (2, nil) — guitar's page in each containing context", dropped, err)
+	edit := map[string]string{"technique": "Sheet metal and wire"}
+	if dropped, err := app.EditDocument("guitar", edit); err != nil || dropped != 2 {
+		t.Errorf("EditDocument = (%d, %v), want (2, nil) — guitar's page in each containing context", dropped, err)
 	}
 	if app.CachedPages() != 1 {
 		t.Errorf("cached pages = %d, want 1 (memory untouched)", app.CachedPages())
@@ -203,22 +202,29 @@ func TestInvalidateDocumentDropsOnlyDependents(t *testing.T) {
 		t.Error("re-woven page does not show the edited attribute")
 	}
 
-	// Re-invalidating without a content change is free: same bytes,
-	// nothing dropped.
-	if dropped, err := app.InvalidateDocument("guitar.xml"); err != nil || dropped != 0 {
-		t.Errorf("no-op invalidation = (%d, %v), want (0, nil)", dropped, err)
+	// Re-applying the same value is free: same bytes, nothing dropped.
+	if dropped, err := app.EditDocument("guitar", edit); err != nil || dropped != 0 {
+		t.Errorf("no-op edit = (%d, %v), want (0, nil)", dropped, err)
 	}
 
-	// An unknown document is an error.
-	if _, err := app.InvalidateDocument("nonesuch.xml"); err == nil {
-		t.Error("InvalidateDocument accepted an unknown document")
+	// An unknown instance and an edit the class rejects are errors
+	// that change nothing.
+	if _, err := app.EditDocument("nonesuch", edit); !errors.Is(err, ErrUnknownInstance) {
+		t.Errorf("EditDocument(unknown) = %v, want ErrUnknownInstance", err)
+	}
+	bad := map[string]string{"technique": "Collage", "year": "circa 1912"}
+	if _, err := app.EditDocument("guitar", bad); !errors.Is(err, ErrInvalidEdit) {
+		t.Errorf("EditDocument(non-integer year) = %v, want ErrInvalidEdit", err)
+	}
+	if got := app.Store().Get("guitar").Attr("technique"); got != "Sheet metal and wire" {
+		t.Errorf("rejected edit applied part of its batch: technique = %q", got)
 	}
 }
 
-// TestInvalidateDocumentTitleEditReachesNavigation: a title is not
+// TestEditDocumentTitleEditReachesNavigation: a title is not
 // caption-only — anchors on other pages and the linkbase display it —
 // so editing one must invalidate wide, not just the node's own pages.
-func TestInvalidateDocumentTitleEditReachesNavigation(t *testing.T) {
+func TestEditDocumentTitleEditReachesNavigation(t *testing.T) {
 	app := paperApp(t, navigation.IndexedGuidedTour{})
 	hub, err := app.RenderPageCached("ByAuthor:picasso", navigation.HubID)
 	if err != nil {
@@ -232,10 +238,7 @@ func TestInvalidateDocumentTitleEditReachesNavigation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := app.Store().SetAttr("guitar", "title", "Guitar (1913)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := app.InvalidateDocument("guitar.xml"); err != nil {
+	if _, err := app.EditDocument("guitar", map[string]string{"title": "Guitar (1913)"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,10 +261,11 @@ func TestInvalidateDocumentTitleEditReachesNavigation(t *testing.T) {
 	}
 }
 
-// TestSetAttrDuringRenderRace: a live content edit (Store.SetAttr) may
-// land while a weave is reading the same instance's attributes; the
-// instance guards its map so neither side corrupts the other. Run with
-// -race.
+// TestSetAttrDuringRenderRace: live content edits land while weaves
+// read the same instance's attributes and the repository — directly
+// through Store.SetAttr (the instance guards its map) and through
+// EditDocument (the model lock, and a repository installed
+// copy-on-write). Run with -race.
 func TestSetAttrDuringRenderRace(t *testing.T) {
 	app := paperApp(t, navigation.IndexedGuidedTour{})
 	var wg sync.WaitGroup
@@ -281,13 +285,14 @@ func TestSetAttrDuringRenderRace(t *testing.T) {
 				t.Errorf("RenderPage: %v", err)
 				return
 			}
+			if _, err := app.Repository().Get("guitar.xml"); err != nil {
+				t.Errorf("Repository: %v", err)
+				return
+			}
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		if err := app.Store().SetAttr("guitar", "technique", "edit"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := app.InvalidateDocument("guitar.xml"); err != nil {
+		if _, err := app.EditDocument("guitar", map[string]string{"technique": "edit"}); err != nil {
 			t.Fatal(err)
 		}
 		if err := app.Store().SetAttr("guitar", "technique", "Construction"); err != nil {

@@ -18,8 +18,8 @@ type docEntry struct {
 // docCache holds the serialized form of every repository document
 // (links.xml and the node data files) with its strong ETag, so serving a
 // document costs a map lookup instead of a tree serialization and a body
-// hash per request. rebuild reseeds it wholesale; InvalidateDocument
-// replaces single entries.
+// hash per request. rebuild reseeds it wholesale; EditDocument's
+// content-only path replaces single entries (put).
 type docCache struct {
 	mu      sync.RWMutex
 	entries map[string]docEntry
@@ -72,4 +72,11 @@ func (dc *docCache) reseed(serialized map[string][]byte, changed map[string]bool
 		entries[uri] = docEntry{body: body, etag: strongETag(gen, body), clen: strconv.Itoa(len(body))}
 	}
 	dc.entries = entries
+}
+
+// put replaces one entry with a body changed under gen.
+func (dc *docCache) put(uri string, body []byte, gen uint64) {
+	dc.mu.Lock()
+	defer dc.mu.Unlock()
+	dc.entries[uri] = docEntry{body: body, etag: strongETag(gen, body), clen: strconv.Itoa(len(body))}
 }

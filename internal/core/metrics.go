@@ -18,7 +18,7 @@ var (
 		"Woven-page cache lookups coalesced onto another caller's in-flight weave.")
 
 	rebuildDuration = obs.Default.Histogram("navcore_rebuild_duration_seconds",
-		"Time one model rebuild took: resolve, export, linkbase, diff, invalidate.")
+		"Time one model rebuild took: resolve, export, linkbase, diff, invalidate (a content-only document edit: re-export one document, invalidate).")
 	rebuildsByVerdict = map[string]*obs.Counter{
 		verdictFull:  obs.Default.Counter("navcore_rebuilds_total", "Model rebuilds by invalidation verdict.", "verdict", verdictFull),
 		verdictLocal: obs.Default.Counter("navcore_rebuilds_total", "Model rebuilds by invalidation verdict.", "verdict", verdictLocal),

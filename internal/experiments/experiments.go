@@ -1,7 +1,8 @@
-// Package experiments implements the per-figure reproduction harness of
-// EXPERIMENTS.md: each function regenerates one artifact or table of the
-// paper (Figures 1–9 and the quantified §5 claims) and returns it as
-// printable text. cmd/navbench is the CLI front end.
+// Package experiments implements the per-figure reproduction harness:
+// each function regenerates one artifact or table of the paper
+// (Figures 1–9 and the quantified §5 claims) and returns it as
+// printable text. All lists them by id; cmd/navbench is the CLI front
+// end.
 package experiments
 
 import (

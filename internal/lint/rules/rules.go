@@ -134,7 +134,7 @@ var MutationPlane = map[string][]string{
 		"SetAccessStructures",
 		"SetStylesheet",
 		"SetStylesheetXML",
-		"InvalidateDocument",
+		"EditDocument",
 		// Replication-plane entry points ride the same confinement: the
 		// serve path has no business exporting snapshots either.
 		"ExportSnapshot",

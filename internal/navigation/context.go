@@ -271,3 +271,30 @@ func (m *Model) Resolve(store *conceptual.Store) (*ResolvedModel, error) {
 	}
 	return rm, nil
 }
+
+// ReadsAttr reports whether resolving the model reads attribute attr of
+// conceptual class class: as a node class's title (locator titles and
+// anchor labels), as a context's order, or in a context's Where filter
+// (membership). An edit to any other attribute cannot change what
+// Resolve produces — it is content, not navigation. A Where that does
+// not compile is assumed to read every attribute.
+func (m *Model) ReadsAttr(class, attr string) bool {
+	for _, nc := range m.nodeClasses {
+		if nc.Class == class && nc.TitleAttr == attr {
+			return true
+		}
+	}
+	for _, def := range m.contexts {
+		nc := m.nodeClasses[def.NodeClass]
+		if nc == nil || nc.Class != class {
+			continue
+		}
+		if def.OrderBy == attr {
+			return true
+		}
+		if where, err := compileWhere(def.Where); err != nil || (where != nil && where.attr == attr) {
+			return true
+		}
+	}
+	return false
+}

@@ -596,3 +596,36 @@ func TestEdgeString(t *testing.T) {
 		t.Errorf("Edge.String = %q", s)
 	}
 }
+
+// TestModelReadsAttr: the attributes navigation reads are node-class
+// titles, context orderings and Where filters — over the conceptual
+// class the node class views — and nothing else.
+func TestModelReadsAttr(t *testing.T) {
+	m := NewModel()
+	m.MustAddNodeClass(&NodeClass{Name: "PaintingNode", Class: "Painting", TitleAttr: "title"})
+	m.MustAddNodeClass(&NodeClass{Name: "PainterNode", Class: "Painter", TitleAttr: "name"})
+	m.MustAddContext(&ContextDef{Name: "ByAuthor", NodeClass: "PaintingNode", GroupBy: "paints", OrderBy: "year", Access: Index{}})
+	for _, c := range []struct {
+		class, attr string
+		want        bool
+	}{
+		{"Painting", "title", true}, // PaintingNode's title
+		{"Painting", "year", true},  // ByAuthor's order
+		{"Painter", "name", true},   // PainterNode's title
+		{"Painting", "technique", false},
+		{"Painter", "born", false},
+		{"Movement", "name", false}, // no node class views movements
+		{"Painter", "year", false},  // ordering reads paintings only
+	} {
+		if got := m.ReadsAttr(c.class, c.attr); got != c.want {
+			t.Errorf("ReadsAttr(%s, %s) = %v, want %v", c.class, c.attr, got, c.want)
+		}
+	}
+	m.MustAddContext(&ContextDef{Name: "Oils", NodeClass: "PaintingNode", Where: "technique = 'Oil on canvas'", Access: Index{}})
+	if !m.ReadsAttr("Painting", "technique") {
+		t.Error("ReadsAttr(Painting, technique) = false under a Where on technique")
+	}
+	if m.ReadsAttr("Painter", "technique") {
+		t.Error("a Where over paintings reads painter attributes")
+	}
+}

@@ -109,15 +109,17 @@ func htmlElementOnly(e *xmldom.Element) bool {
 	return hasElem
 }
 
-func escapeHTMLText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+// The escapers are built once: a strings.Replacer compiles its lookup
+// tables on first use, which per call would dominate a page weave's
+// allocations. A Replacer is safe for concurrent use.
+var (
+	htmlTextEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	htmlAttrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+)
 
-func escapeHTMLAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func escapeHTMLText(s string) string { return htmlTextEscaper.Replace(s) }
+
+func escapeHTMLAttr(s string) string { return htmlAttrEscaper.Replace(s) }
 
 // CountLines reports the number of lines in a rendered page; the change
 // cost analyzer uses it for page-size statistics.

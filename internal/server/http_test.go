@@ -120,10 +120,7 @@ func TestConditionalGetPages(t *testing.T) {
 			t.Fatalf("GET after unrelated mutations = %d, want 304 (document unchanged)", resp.StatusCode)
 		}
 		// A content edit to the document itself produces a new tag.
-		if err := srv.app.Store().SetAttr("guitar", "technique", "Sheet metal and wire"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srv.app.InvalidateDocument("guitar.xml"); err != nil {
+		if _, err := srv.app.EditDocument("guitar", map[string]string{"technique": "Sheet metal and wire"}); err != nil {
 			t.Fatal(err)
 		}
 		resp = condGet(t, ts.URL+"/data/guitar.xml", etag)

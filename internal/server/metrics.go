@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"time"
@@ -252,8 +253,19 @@ func (s *Server) writeInstanceGauges(b *strings.Builder) {
 		"Seconds since this server was constructed.", time.Since(s.start).Seconds())
 	obs.WriteGauge(b, "navserve_goroutines",
 		"Live goroutines in the process.", float64(runtime.NumGoroutine()))
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
 	obs.WriteGauge(b, "navserve_heap_bytes",
-		"Bytes of allocated heap objects.", float64(mem.HeapAlloc))
+		"Bytes of allocated heap objects.", float64(heapBytes()))
+}
+
+// heapBytes reports the bytes of allocated heap objects (what
+// MemStats.HeapAlloc reports) for the probes (/healthz, /metrics). It
+// reads runtime/metrics rather than calling runtime.ReadMemStats, which
+// stops the world on every probe.
+func heapBytes() uint64 {
+	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return s[0].Value.Uint64()
 }

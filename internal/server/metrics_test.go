@@ -170,6 +170,11 @@ func TestMetricsExpositionRoundTrip(t *testing.T) {
 		}
 	}
 
+	// The heap gauge reads runtime/metrics; a misnamed sample reads 0.
+	if samples["navserve_heap_bytes"] <= 0 {
+		t.Errorf("navserve_heap_bytes = %v, want live heap", samples["navserve_heap_bytes"])
+	}
+
 	// The traffic driven above must be visible with its route and status
 	// class — and the revalidation in the 304 split. (The registry is
 	// process-global, so other tests may have added more; ≥ the traffic

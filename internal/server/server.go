@@ -618,8 +618,6 @@ func (s *Server) serveHealth(w http.ResponseWriter) {
 		rec = s.rec.Stats()
 	}
 	adaptGen, derived := s.AdaptStats()
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
 	// Operational state must never be served stale by an intermediary.
 	w.Header().Set("Cache-Control", "no-store")
 	health := struct {
@@ -658,7 +656,7 @@ func (s *Server) serveHealth(w http.ResponseWriter) {
 
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
-		HeapBytes:     mem.HeapAlloc,
+		HeapBytes:     heapBytes(),
 
 		AnalyticsRecorded:   rec.Recorded,
 		AnalyticsSampledOut: rec.SampledOut,

@@ -112,10 +112,11 @@ func writeTourAnchors(sb *strings.Builder, rc *navigation.ResolvedContext, idx, 
 	}
 }
 
-func htmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// htmlEscaper is built once; a strings.Replacer is safe for concurrent
+// use.
+var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func htmlEscape(s string) string { return htmlEscaper.Replace(s) }
 
 // ChangeCost quantifies the difference between two versions of a site
 // (or of any path->text artifact set).
