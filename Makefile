@@ -4,11 +4,11 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-full bench bench-all bench-smoke api-smoke metrics-smoke trace-smoke chaos-smoke load-smoke ci
+.PHONY: all build vet lint test test-full e2e-check bench bench-all bench-smoke api-smoke metrics-smoke trace-smoke chaos-smoke load-smoke ci
 
 all: ci
 
-ci: build vet lint test
+ci: build vet lint test e2e-check
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,12 @@ test:
 
 test-full:
 	$(GO) test -race ./...
+
+# e2e-check vets and tests the end-to-end benchmark module. e2ebench/ is
+# a separate module (replace repro => ../), so ./... at the root never
+# compiles it, yet it calls the server's exported API.
+e2e-check:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the serve/persist benchmarks and records the summary in
 # BENCH_serve.json (ns/op, B/op, allocs/op per benchmark).

@@ -114,10 +114,11 @@
 //	                   snapshot compaction, crash-safe)
 //	-store-dir         directory the file backend lives in (required
 //	                   with -store file)
-//	-sync-persist      write each session record synchronously on every
-//	                   navigation step instead of through the
-//	                   write-behind flusher (durability per step, at
-//	                   the old per-request cost)
+//	-sync-persist      make each navigation step wait until its session
+//	                   record is written: the step still goes through
+//	                   the flusher's queue, but the request drains it
+//	                   (concurrent steps share one drain); a failed
+//	                   write answers 503 and stays queued for retry
 //	-flush-interval    how often the write-behind flusher drains the
 //	                   dirty-session queue (default 100ms; bounds the
 //	                   crash-loss window)
@@ -137,10 +138,9 @@
 //
 // With -store file, every visitor session reaches the store after each
 // navigation step — write-behind by default, coalesced by the flusher;
-// synchronously with -sync-persist — and is rehydrated lazily after a
-// restart, so a redeploy loses nobody's place in their tour; the woven
-// site
-// definition (data documents + links.xml) is also exported into the
+// with -sync-persist the step waits for its own write — and is
+// rehydrated lazily after a restart, so a redeploy loses nobody's place
+// in their tour; the woven site definition (data documents + links.xml) is also exported into the
 // store at startup, so the next navserve — or any XLink-aware agent —
 // can reload the same site from the same directory. The file backend
 // is single-writer: an advisory lock makes a second process opening a
@@ -284,7 +284,7 @@ func build(args []string) (*http.Server, *buildConfig, int, error) {
 	storeKind := fs.String("store", "mem", `persistence backend: "mem" or "file"`)
 	storeDir := fs.String("store-dir", "", "directory for the file backend (required with -store file)")
 	syncPersist := fs.Bool("sync-persist", false,
-		"write session records synchronously per step instead of write-behind")
+		"make each step wait until its session record is written (503 when the write fails)")
 	flushInterval := fs.Duration("flush-interval", server.DefaultFlushInterval,
 		"write-behind flush interval (bounds the crash-loss window)")
 	flushBatch := fs.Int("flush-batch", server.DefaultFlushBatch,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -267,6 +268,82 @@ func TestEvictionTombstoneRetries(t *testing.T) {
 	srv.FlushSessions() // retry promoted, delete lands
 	if _, err := fs.Get(sessionKeyPrefix + cookie); !errors.Is(err, storage.ErrNotFound) {
 		t.Errorf("evicted record survives the flaky delete: err=%v", err)
+	}
+}
+
+// TestSyncWriteFailureAnswers503: under WithSyncPersistence a step whose
+// write the store rejects is not acknowledged — it answers 503 with
+// Retry-After, like a shed request — and the step is not lost either:
+// the record waits on the retry queue, and the next drain lands exactly
+// the history the visitor sees.
+func TestSyncWriteFailureAnswers503(t *testing.T) {
+	fs := faultstore.New(storage.NewMem(), 1)
+	if err := fs.Configure("put:fail=1"); err != nil {
+		t.Fatal(err)
+	}
+	// An hour-long interval keeps the background flusher from retrying
+	// before the assertions below look at the retry queue.
+	srv, _ := persistentServer(t, fs, WithFlushInterval(time.Hour))
+
+	rec := newRecorder()
+	srv.ServeHTTP(rec, newRequest("/ByAuthor/picasso/avignon.html", ""))
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "1" {
+		t.Fatalf("step over a failing store = %d (Retry-After %q), want 503 with Retry-After 1",
+			rec.Code, rec.Header().Get("Retry-After"))
+	}
+	cookie := rec.cookie()
+	if cookie == "" {
+		t.Fatal("the 503 carried no session cookie")
+	}
+	if queued, _ := srv.RetryStats(); queued != 1 {
+		t.Fatalf("retry queue = %d, want the failed record kept", queued)
+	}
+
+	srv.FlushSessions()
+	stored, ok := scanSessions(t, fs)[cookie]
+	if !ok {
+		t.Fatal("failed sync write was dropped, not retried")
+	}
+	rec = newRecorder()
+	srv.ServeHTTP(rec, newRequest("/history", cookie))
+	var h historyJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(h.Entries, stored.State.Nav) || h.Cursor != stored.State.Cursor {
+		t.Errorf("stored history %v@%d, /history %v@%d",
+			stored.State.Nav, stored.State.Cursor, h.Entries, h.Cursor)
+	}
+}
+
+// TestSyncWriteLostToRetryOverflowAnswers503: a synchronous step whose
+// failed write is then pushed off a full retry queue within the same
+// drain must not be acknowledged — its record is gone from both queues,
+// which on its own would read as a successful write.
+func TestSyncWriteLostToRetryOverflowAnswers503(t *testing.T) {
+	fs := faultstore.New(storage.NewMem(), 1)
+	if err := fs.Configure("put:rate=1"); err != nil {
+		t.Fatal(err)
+	}
+	clock := time.Now()
+	now := func() time.Time { return clock }
+	srv, _ := persistentServer(t, fs, WithFlushInterval(time.Hour), WithRetryLimit(1),
+		WithSessionTTL(0), withClock(now))
+
+	// The first visitor's failed write waits on the (one-slot) retry
+	// queue; once its backoff has passed, the next drain retries it
+	// after writing the second visitor's record — and the retry's
+	// failure evicts the second visitor's entry from the full queue.
+	for i, wantDropped := range []uint64{0, 1} {
+		rec := newRecorder()
+		srv.ServeHTTP(rec, newRequest("/ByAuthor/picasso/avignon.html", ""))
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("visitor %d step = %d, want 503", i, rec.Code)
+		}
+		if _, dropped := srv.RetryStats(); dropped != wantDropped {
+			t.Fatalf("after visitor %d: dropped = %d, want %d", i, dropped, wantDropped)
+		}
+		clock = clock.Add(2 * time.Hour)
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,20 +36,33 @@ type retryEntry struct {
 	attempts int
 	nextAt   time.Time
 	seq      uint64 // enqueue order, for oldest-first dropping
+	err      error  // the failure that queued it
 }
 
-// flusher is the write-behind half of session persistence: navigation
+// errRetryOverflow answers a synchronous write during which the retry
+// queue overflowed: the dropped entry may have been the caller's, so its
+// durability cannot be confirmed.
+var errRetryOverflow = errors.New("session persistence retry queue overflowed")
+
+// batchEntry is one write taken off the queues for a flush round.
+type batchEntry struct {
+	id       string
+	sess     *navigation.Session // nil = tombstone
+	attempts int                 // earlier failed attempts
+}
+
+// flusher is session persistence's one write path: navigation
 // steps mark the session dirty in a coalescing queue (keyed by session
 // id — only the latest state is ever written, so ten steps between two
 // flushes cost one Put, not ten), and a background goroutine drains the
-// queue in bounded batches on an interval. The request path pays a map
-// insert; the marshal and the store write happen off-request.
+// queue in bounded batches on an interval. By default the request path
+// pays a map insert; the marshal and the store write happen off-request.
 //
-// A nil session in the queue is a tombstone: the session was evicted and
-// its durable record must be deleted instead of written. All store
-// writes go through the single flusher goroutine (or through flushNow's
-// caller while it holds the drain lock), so one session's Put and
-// Delete can never land out of order.
+// A nil session in the queue is a tombstone: the durable record must be
+// deleted instead of written. Every store write is a flush round under
+// the drain lock — on the flusher goroutine, or on a caller draining
+// synchronously (flushNow, a synchronous enqueue) — so one session's Put
+// and Delete can never land out of order.
 //
 // A write the store rejects is not dropped: it moves to a bounded retry
 // queue and is re-attempted with capped exponential backoff, so a store
@@ -61,6 +75,8 @@ type flusher struct {
 	ttl    time.Duration
 	now    func() time.Time
 	health *breaker
+
+	writeThrough bool // every enqueue waits for its own write (set before use)
 
 	mu     sync.Mutex
 	dirty  map[string]*navigation.Session
@@ -75,9 +91,11 @@ type flusher struct {
 	retryLimit int
 	dropped    atomic.Uint64
 
-	// drainMu serializes flush rounds, so a synchronous flushNow and
-	// the background loop never interleave writes for one batch.
+	// drainMu serializes flush rounds, so a synchronous drain and the
+	// background loop never interleave writes for one batch.
 	drainMu sync.Mutex
+	// round is the flush round's reused scratch batch. Guarded by drainMu.
+	round []batchEntry
 
 	kick chan struct{}
 	done chan struct{}
@@ -119,38 +137,67 @@ func newFlusher(st storage.Store, ttl time.Duration, now func() time.Time, batch
 
 // enqueue marks a session dirty; the latest enqueue for an id wins, and
 // supersedes any retry pending for the id — the write that happens next
-// round carries this fresher state. After close, the write happens
-// synchronously — a late request must not lose its step just because
-// shutdown started — but still under drainMu, so it cannot interleave
-// with the final drain and land a Put/Delete pair for one id out of
-// order.
+// round carries this fresher state. Under synchronous persistence, and
+// after close (a late request must not lose its step just because
+// shutdown started), the caller then drains until this entry is written
+// and gets the write's error; otherwise enqueue returns nil at once.
 //
 //repro:hotpath
-func (f *flusher) enqueue(id string, sess *navigation.Session) {
+func (f *flusher) enqueue(id string, sess *navigation.Session) error {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		f.drainMu.Lock()
-		//repro:allow(post-close stragglers write synchronously; shutdown only)
-		f.writeObserved(id, sess)
-		f.drainMu.Unlock()
-		return
-	}
 	f.dirty[id] = sess
 	delete(f.retry, id)
 	depth := len(f.dirty)
+	wait := f.writeThrough || f.closed
+	dropped := f.dropped.Load()
 	f.mu.Unlock()
+	if wait {
+		//repro:allow(synchronous persistence and post-close stragglers drain on the caller)
+		return f.awaitWrite(id, dropped)
+	}
 	if depth >= f.batch {
 		select {
 		case f.kick <- struct{}{}:
 		default:
 		}
 	}
+	return nil
 }
 
-// enqueueDelete queues a tombstone: the session was evicted, its durable
-// record dies with it. Any pending state write for the id is superseded.
-func (f *flusher) enqueueDelete(id string) { f.enqueue(id, nil) }
+// enqueueDelete queues a tombstone: the session's durable record dies.
+// Any pending state write for the id is superseded.
+func (f *flusher) enqueueDelete(id string) error { return f.enqueue(id, nil) }
+
+// awaitWrite runs flush rounds on the caller until id has left the dirty
+// queue, and returns the error of the write that took it when that write
+// failed (the entry then waits on the retry queue). Entries other
+// callers queued meanwhile ride along in the same rounds, so concurrent
+// synchronous writers share one drain (group commit). dropped is the
+// retry-drop count when id was queued.
+func (f *flusher) awaitWrite(id string, dropped uint64) error {
+	f.drainMu.Lock()
+	defer f.drainMu.Unlock()
+	for f.pending(id) {
+		f.flushBatchLocked()
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if e, failed := f.retry[id]; failed {
+		return e.err
+	}
+	if f.dropped.Load() != dropped {
+		return errRetryOverflow
+	}
+	return nil
+}
+
+// pending reports whether id waits in the dirty queue.
+func (f *flusher) pending(id string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, ok := f.dirty[id]
+	return ok
+}
 
 // depth reports how many sessions are waiting to be flushed.
 func (f *flusher) depth() int {
@@ -215,51 +262,43 @@ func (f *flusher) flushNow() {
 func (f *flusher) flushBatchLocked() int {
 	now := f.now()
 	f.mu.Lock()
-	n := len(f.dirty)
-	if n > f.batch {
-		n = f.batch
-	}
-	ids := make([]string, 0, n)
-	sessions := make([]*navigation.Session, 0, n)
-	attempts := make([]int, 0, n)
+	b := f.round[:0]
 	for id, sess := range f.dirty {
-		ids = append(ids, id)
-		sessions = append(sessions, sess)
-		attempts = append(attempts, 0)
-		delete(f.dirty, id)
-		if len(ids) == n {
+		if len(b) == f.batch {
 			break
 		}
+		b = append(b, batchEntry{id: id, sess: sess})
+		delete(f.dirty, id)
 	}
 	// Fill the rest of the batch with due retries.
 	for id, e := range f.retry {
-		if len(ids) >= f.batch {
+		if len(b) >= f.batch {
 			break
 		}
 		if e.nextAt.After(now) {
 			continue
 		}
-		ids = append(ids, id)
-		sessions = append(sessions, e.sess)
-		attempts = append(attempts, e.attempts)
+		b = append(b, batchEntry{id: id, sess: e.sess, attempts: e.attempts})
 		delete(f.retry, id)
 	}
 	f.mu.Unlock()
-	if len(ids) == 0 {
+	if len(b) == 0 {
 		return 0
 	}
 	start := time.Now()
-	for i, id := range ids {
-		if err := f.writeObserved(id, sessions[i]); err != nil {
-			f.reschedule(id, sessions[i], attempts[i]+1)
+	for _, e := range b {
+		if err := f.writeObserved(e.id, e.sess); err != nil {
+			f.reschedule(e.id, e.sess, e.attempts+1, err)
 		}
 	}
-	// The batch runs on the flusher goroutine (or a synchronous drain),
-	// never on a request, so the clock reads are off the hot path.
+	// The batch never runs on the write-behind enqueue, so the clock
+	// reads are off the hot path.
 	flushBatchDuration.Observe(time.Since(start))
 	flushBatches.Inc()
-	flushWrites.Add(uint64(len(ids)))
-	return len(ids)
+	flushWrites.Add(uint64(len(b)))
+	clear(b) // keep the backing array for the next round, not the sessions
+	f.round = b
+	return len(b)
 }
 
 // reschedule queues a failed write for another attempt after a capped
@@ -267,7 +306,7 @@ func (f *flusher) flushBatchLocked() int {
 // entry is dropped and counted — that session's trail loses durability
 // (until its next step re-enqueues it), but memory stays bounded while
 // the store is down.
-func (f *flusher) reschedule(id string, sess *navigation.Session, attempts int) {
+func (f *flusher) reschedule(id string, sess *navigation.Session, attempts int, err error) {
 	delay := f.interval
 	for i := 1; i < attempts && delay < retryMaxDelay; i++ {
 		delay *= 2
@@ -300,6 +339,7 @@ func (f *flusher) reschedule(id string, sess *navigation.Session, attempts int) 
 		attempts: attempts,
 		nextAt:   f.now().Add(delay),
 		seq:      f.retrySeq,
+		err:      err,
 	}
 	persistRetries.Inc()
 }
@@ -348,7 +388,7 @@ func (f *flusher) write(id string, sess *navigation.Session) error {
 }
 
 // close stops the loop after a final full drain. Idempotent; enqueues
-// arriving after close write through synchronously.
+// arriving after close drain on their caller.
 func (f *flusher) close() {
 	f.mu.Lock()
 	if f.closed {

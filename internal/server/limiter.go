@@ -108,7 +108,14 @@ func shed(w http.ResponseWriter, traceparent string) {
 	if traceparent != "" {
 		w.Header().Set("Traceparent", traceparent)
 	}
+	unavailable(w, "overloaded: in-flight request limit reached")
+}
+
+// unavailable answers 503 with a one-second Retry-After and a plain-text
+// reason: the shape of every "try again shortly" refusal (a shed request,
+// a synchronous session write the store rejected).
+func unavailable(w http.ResponseWriter, reason string) {
 	w.Header().Set("Retry-After", "1")
 	w.Header().Set("Cache-Control", "no-store")
-	http.Error(w, "overloaded: in-flight request limit reached", http.StatusServiceUnavailable)
+	http.Error(w, reason, http.StatusServiceUnavailable)
 }

@@ -21,9 +21,10 @@ func benchApp(b *testing.B) *core.App {
 }
 
 // benchSessionChurn measures the per-step cost persistence adds to
-// navigation. Under WithSyncPersistence that is the full snapshot,
-// marshal and put; on the default write-behind path it is the
-// coalescing enqueue, with the background flusher doing the writing.
+// navigation. Under WithSyncPersistence that is the enqueue plus the
+// caller's drain — snapshot, marshal and put of its own record; on the
+// default write-behind path it is the coalescing enqueue, with the
+// background flusher doing the writing.
 func benchSessionChurn(b *testing.B, st storage.Store, opts ...Option) {
 	app := benchApp(b)
 	srv := New(app, append([]Option{WithPersistence(st)}, opts...)...)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -331,5 +332,77 @@ func TestOrphanedRecordIsAMiss(t *testing.T) {
 	code, body, _ := doGet(t, ts, "/session", "cafebabe")
 	if code != http.StatusOK || body != "[]\n" {
 		t.Errorf("orphaned record: code=%d body=%q", code, body)
+	}
+}
+
+// TestSyncStepDoesNotWaitForTicker: a synchronous step drains the queue
+// itself, so with the background flusher's interval an hour long the
+// record is still in the store by the time the response returns.
+func TestSyncStepDoesNotWaitForTicker(t *testing.T) {
+	st := storage.NewMem()
+	srv, _ := persistentServer(t, st, WithFlushInterval(time.Hour))
+	cookie := step(t, srv, "/ByAuthor/picasso/avignon.html", "")
+	cookie = step(t, srv, "/go/next", cookie)
+	raw, err := st.Get(sessionKeyPrefix + cookie)
+	if err != nil {
+		t.Fatalf("record not in the store when the step returned: %v", err)
+	}
+	var rec sessionRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.State.NodeID != "guitar" {
+		t.Errorf("stored position = %q, want guitar (the step just answered)", rec.State.NodeID)
+	}
+}
+
+// TestSyncConcurrentStepsPersistLatestState: many goroutines stepping
+// one session under WithSyncPersistence cannot leave the durable record
+// behind the in-memory session — once every step has returned, the
+// record is the session's current state. Meant for -race.
+func TestSyncConcurrentStepsPersistLatestState(t *testing.T) {
+	st := storage.NewMem()
+	srv, _ := persistentServer(t, st)
+	cookie := step(t, srv, "/ByAuthor/picasso/avignon.html", "")
+	paths := []string{
+		"/ByAuthor/picasso/avignon.html",
+		"/ByAuthor/picasso/guitar.html",
+		"/ByMovement/cubism/guitar.html",
+		"/ByAuthor/picasso/guernica.html",
+		"/ByMovement/surrealism/memory.html",
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				rec := newRecorder()
+				srv.ServeHTTP(rec, newRequest(paths[(g+i)%len(paths)], cookie))
+				if rec.Code != http.StatusOK {
+					t.Errorf("step = %d, want 200", rec.Code)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	sess := srv.sessions.get(cookie)
+	if sess == nil {
+		t.Fatal("session gone")
+	}
+	raw, err := st.Get(sessionKeyPrefix + cookie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec sessionRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := json.Marshal(rec.State)
+	live, _ := json.Marshal(sess.State())
+	if string(stored) != string(live) {
+		t.Errorf("durable record lags the session:\n stored: %s\n live:   %s", stored, live)
 	}
 }

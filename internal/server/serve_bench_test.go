@@ -225,8 +225,9 @@ func benchStepWithPersistence(b *testing.B, opts ...Option) {
 	}
 }
 
-// BenchmarkStepWithPersistenceSync is the synchronous marshal+Put write
-// path on every step (the WithSyncPersistence escape hatch).
+// BenchmarkStepWithPersistenceSync waits for the store write on every
+// step: the request drains the persistence queue until its record is
+// written (WithSyncPersistence).
 func BenchmarkStepWithPersistenceSync(b *testing.B) {
 	benchStepWithPersistence(b, WithSyncPersistence())
 }

@@ -35,12 +35,12 @@
 //
 // With WithPersistence, every visitor's session reaches a storage.Store
 // and is rehydrated lazily on first access — a restarted server resumes
-// every context trail mid-tour. Persistence is write-behind by default:
-// a step marks the session dirty in a coalescing queue and a background
+// every context trail mid-tour. Every store write goes through one
+// coalescing queue: a step marks the session dirty and a background
 // flusher writes the latest state in batches (WithFlushInterval,
-// WithFlushBatch; Close runs the final drain). WithSyncPersistence
-// restores the synchronous per-step write. The /healthz payload exposes
-// the queue depth and total flushed writes.
+// WithFlushBatch; Close runs the final drain). WithSyncPersistence makes
+// the step drain the queue until its own record is written. The
+// /healthz payload exposes the queue depth and total flushed writes.
 package server
 
 import (
@@ -50,7 +50,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"runtime"
 	"runtime/pprof"
@@ -58,7 +57,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analytics"
@@ -98,19 +96,9 @@ type Server struct {
 	useCache bool
 	persist  storage.Store
 
-	// flush is the write-behind persistence queue (nil when persistence
-	// is off or WithSyncPersistence is set).
+	// flush is the persistence queue every store write goes through
+	// (nil when persistence is off).
 	flush *flusher
-	// syncWrites counts the records written on the synchronous path,
-	// mirroring flusher.flushed for /healthz.
-	syncWrites atomic.Uint64
-
-	// saveMu stripes serialize snapshot-then-Put per session id on the
-	// synchronous path, so two concurrent saves of one session cannot
-	// land in the store out of order (the stale snapshot overwriting
-	// the fresh one). The write-behind path needs no stripes: one
-	// flusher goroutine orders all writes.
-	saveMu [16]sync.Mutex
 
 	// health is the store-health breaker: consecutive persistence
 	// failures flip the server into degraded mode (serving from cache,
@@ -175,22 +163,23 @@ func WithoutPageCache() Option {
 // WithPersistence writes every visitor session through st after each
 // navigation step and rehydrates sessions lazily from st when they are
 // not in memory — the durable-session half of the storage subsystem.
-// Persistence is write-behind by default: steps mark the session dirty
-// in a coalescing queue and a background flusher writes the latest
-// state in batches (see WithFlushInterval and WithFlushBatch), so the
-// request path never waits on the store. Call Close when done serving
-// so the final states are flushed; use WithSyncPersistence to trade
-// throughput back for per-step durability. The caller keeps ownership
-// of st and closes it after the server is done serving (after Close).
+// Steps mark the session dirty in a coalescing queue and a background
+// flusher writes the latest state in batches (see WithFlushInterval and
+// WithFlushBatch), so by default the request path never waits on the
+// store. Call Close when done serving so the final states are flushed;
+// use WithSyncPersistence to make each step wait for its own write. The
+// caller keeps ownership of st and closes it after the server is done
+// serving (after Close).
 func WithPersistence(st storage.Store) Option {
 	return func(s *Server) { s.persist = st }
 }
 
-// WithSyncPersistence makes every navigation step marshal and write the
-// session record before the response is sent, instead of queueing it
-// for the write-behind flusher. A crash then loses no step — at the
-// old synchronous cost per request. It also makes persistence effects
-// deterministic for tests.
+// WithSyncPersistence makes every navigation step wait until its session
+// record is in the store: the step is queued as usual, then the request
+// drains the queue until its record has been written (steps queued
+// meanwhile share the drain). A crash then loses no acknowledged step; a
+// failed write answers 503 with Retry-After and stays on the retry
+// queue. It also makes persistence effects deterministic for tests.
 func WithSyncPersistence() Option {
 	return func(s *Server) { s.syncPersist = true }
 }
@@ -257,26 +246,14 @@ func New(app *core.App, opts ...Option) *Server {
 	}
 	s.health = newBreaker(s.breakerThreshold)
 	s.sessions = newSessionStore(s.shards, s.ttl, s.now)
-	if s.persist != nil && !s.syncPersist {
-		s.flush = newFlusher(s.persist, s.sessions.ttl, s.sessions.now, s.flushBatch, s.flushInterval, s.retryLimit, s.health)
-	}
 	if s.persist != nil {
+		s.flush = newFlusher(s.persist, s.sessions.ttl, s.sessions.now, s.flushBatch, s.flushInterval, s.retryLimit, s.health)
+		s.flush.writeThrough = s.syncPersist
 		// An expired session's durable record must die with it, or the
 		// backing store would accumulate (and later resurrect) every
-		// abandoned trail. On the write-behind path the delete is a
-		// queued tombstone, so it cannot race a pending state write.
-		s.sessions.onEvict = func(id string) {
-			if s.flush != nil {
-				s.flush.enqueueDelete(id)
-				return
-			}
-			if err := s.persist.Delete(sessionKeyPrefix + id); err != nil {
-				persistErrors.Inc()
-				s.health.fail("session delete failing: " + err.Error())
-			} else {
-				s.health.ok()
-			}
-		}
+		// abandoned trail. The delete is a queued tombstone, so it cannot
+		// race a pending state write; a failed one is retried.
+		s.sessions.onEvict = func(id string) { _ = s.flush.enqueueDelete(id) }
 	}
 	return s
 }
@@ -292,23 +269,25 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// FlushSessions synchronously drains the write-behind queue, so a
-// caller (an operator endpoint, a test) can force durability without
-// shutting down. It is a no-op under synchronous persistence.
+// FlushSessions synchronously drains the persistence queue, retries
+// included (backoff or not), so a caller (an operator endpoint, a test)
+// can force durability without shutting down. It is a no-op when
+// persistence is off.
 func (s *Server) FlushSessions() {
 	if s.flush != nil {
 		s.flush.flushNow()
 	}
 }
 
-// PersistStats reports the write-behind queue depth and how many
-// records have been written to the persistence backend so far (both
-// paths). Zeroes when persistence is off.
+// PersistStats reports the persistence queue depth and how many records
+// (states and tombstones) have been written to the backend so far. Under
+// WithSyncPersistence the queue only holds steps whose requests are
+// still draining. Zeroes when persistence is off.
 func (s *Server) PersistStats() (queued int, written uint64) {
-	if s.flush != nil {
-		return s.flush.depth(), s.flush.flushed.Load()
+	if s.flush == nil {
+		return 0, 0
 	}
-	return 0, s.syncWrites.Load()
+	return s.flush.depth(), s.flush.flushed.Load()
 }
 
 // EvictExpiredSessions drops every session idle past its TTL and
@@ -715,7 +694,10 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, path string, 
 	}
 	// The visit counts even when the response is a 304: revalidating a
 	// cached page is still a traversal to it.
-	s.saveSession(id, sess, rt)
+	if err := s.saveSession(id, sess, rt); err != nil {
+		unavailable(w, "session not persisted: "+err.Error())
+		return
+	}
 	writeFrom := rt.now()
 	writeValidated(w, r, "text/html; charset=utf-8", page.Body, page.ETag, page.ContentLength)
 	rt.span(obs.PhaseWrite, writeFrom)
@@ -769,7 +751,10 @@ func (s *Server) serveTraversal(w http.ResponseWriter, r *http.Request, action s
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	s.saveSession(id, sess, rt)
+	if err := s.saveSession(id, sess, rt); err != nil {
+		unavailable(w, "session not persisted: "+err.Error())
+		return
+	}
 	// One consistent snapshot: reading context and node separately
 	// could mix states from two concurrent traversals on this session.
 	rc, nodeID := sess.Location()
@@ -876,65 +861,32 @@ type sessionRecord struct {
 	Expires time.Time `json:"expires,omitempty"`
 }
 
-// saveSession records that the session's durable state is behind. On
-// the default write-behind path that is one coalescing map insert — the
+// saveSession hands the session to the persistence queue. On the
+// default write-behind path that is one coalescing map insert — the
 // snapshot, marshal and store write happen on the background flusher,
 // and ten steps between two flushes cost one write. Under
-// WithSyncPersistence the record is marshalled and written here, under
-// a per-id stripe lock — without it, two concurrent steps on one
-// session could persist out of order and leave the durable record a
-// step behind the in-memory trail until the next save. Either way a
-// failed write costs durability of this one step, not the request.
-func (s *Server) saveSession(id string, sess *navigation.Session, rt reqTrace) {
-	if s.persist == nil {
-		return
+// WithSyncPersistence the request then drains the queue until this
+// record is written, and a failed write comes back as the error (the
+// record stays on the retry queue).
+func (s *Server) saveSession(id string, sess *navigation.Session, rt reqTrace) error {
+	if s.flush == nil {
+		return nil
 	}
-	if s.flush != nil {
-		enqueueFrom := rt.now()
-		s.flush.enqueue(id, sess)
-		rt.span(obs.PhaseFlushEnqueue, enqueueFrom)
-		return
+	// A synchronous save is traced as the storage op: its drain is the
+	// span a slow-request trace points at when the backend stalls.
+	phase := obs.PhaseFlushEnqueue
+	if s.syncPersist {
+		phase = obs.PhaseStorageOp
 	}
-	mu := &s.saveMu[fnv32(id)%uint32(len(s.saveMu))]
-	mu.Lock()
-	defer mu.Unlock()
-	rec := sessionRecord{State: sess.State()}
-	if s.sessions.ttl > 0 {
-		rec.Expires = s.sessions.now().Add(s.sessions.ttl)
-	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		persistErrors.Inc()
-		return
-	}
-	// The storage-op phase covers only the store write, not the snapshot
-	// or marshal above — it is the span a slow-request trace points at
-	// when the backend stalls.
-	putFrom := rt.now()
-	err = s.persist.Put(sessionKeyPrefix+id, raw)
-	rt.span(obs.PhaseStorageOp, putFrom)
-	if err != nil {
-		// The synchronous path has no retry queue — this step's
-		// durability is lost — but the failure still counts and still
-		// trips the breaker, so /readyz drains the instance.
-		persistErrors.Inc()
-		s.health.fail("session persistence failing: " + err.Error())
-		return
-	}
-	s.syncWrites.Add(1)
-	s.health.ok()
-}
-
-// fnv32 hashes a session id onto the save stripes.
-func fnv32(s string) uint32 {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum32()
+	from := rt.now()
+	err := s.flush.enqueue(id, sess)
+	rt.span(phase, from)
+	return err
 }
 
 // rehydrate restores a session from its durable record, tracking it in
 // memory on success. Expired, corrupt or model-orphaned records are
-// deleted and treated as a miss.
+// deleted (a queued tombstone, like eviction's) and treated as a miss.
 func (s *Server) rehydrate(id string) *navigation.Session {
 	raw, err := s.persist.Get(sessionKeyPrefix + id)
 	if err != nil {
@@ -948,28 +900,23 @@ func (s *Server) rehydrate(id string) *navigation.Session {
 		return nil
 	}
 	var rec sessionRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		_ = s.persist.Delete(sessionKeyPrefix + id)
-		return nil
+	if json.Unmarshal(raw, &rec) == nil && (rec.Expires.IsZero() || !s.sessions.now().After(rec.Expires)) {
+		// A restore fails when the model moved on under the stored trail;
+		// a fresh session is more honest than a position that no longer
+		// exists.
+		if sess, err := navigation.RestoreSession(s.app.Resolved(), rec.State); err == nil {
+			// A record written under an older (or absent) cap is trimmed
+			// on the way in, so the cap holds across restarts too.
+			sess.SetTrailLimit(s.trailLimit)
+			// putIfAbsent, not put: a concurrent request may have
+			// rehydrated (and even advanced) this session while we were
+			// rebuilding it, and overwriting would roll the visitor back.
+			return s.sessions.putIfAbsent(id, sess)
+		}
 	}
-	if !rec.Expires.IsZero() && s.sessions.now().After(rec.Expires) {
-		_ = s.persist.Delete(sessionKeyPrefix + id)
-		return nil
-	}
-	sess, err := navigation.RestoreSession(s.app.Resolved(), rec.State)
-	if err != nil {
-		// The model moved on under the stored trail; a fresh session is
-		// more honest than a position that no longer exists.
-		_ = s.persist.Delete(sessionKeyPrefix + id)
-		return nil
-	}
-	// A record written under an older (or absent) cap is trimmed on the
-	// way in, so the cap holds across restarts too.
-	sess.SetTrailLimit(s.trailLimit)
-	// putIfAbsent, not put: a concurrent request may have rehydrated
-	// (and even advanced) this session while we were rebuilding it, and
-	// overwriting would roll the visitor back a step.
-	return s.sessions.putIfAbsent(id, sess)
+	// Corrupt, expired or orphaned: the record is dead.
+	_ = s.flush.enqueueDelete(id)
+	return nil
 }
 
 // serveSession returns the requester's visit trail as JSON — the context
