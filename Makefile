@@ -1,20 +1,25 @@
-# Tier-1 gate: everything CI runs. `make` = build + vet + race-enabled
-# short tests (the ~13s benchmark-backed experiment tests only run in
-# `make test-full`).
+# Tier-1 gate: everything CI runs. `make` = build + vet + gofmt check +
+# navlint + race-enabled short tests + the benchmark module check (the
+# ~13s benchmark-backed experiment tests only run in `make test-full`).
 
 GO ?= go
 
-.PHONY: all build vet lint test test-full e2e-check bench bench-all bench-smoke api-smoke metrics-smoke trace-smoke chaos-smoke load-smoke ci
+.PHONY: all build vet fmt-check lint test test-full e2e-check bench bench-all bench-smoke api-smoke metrics-smoke trace-smoke chaos-smoke load-smoke ci
 
 all: ci
 
-ci: build vet lint test e2e-check
+ci: build vet fmt-check lint test e2e-check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file needs gofmt, listing the files.
+fmt-check:
+	@drift=$$(gofmt -l .); \
+	if [ -n "$$drift" ]; then echo "gofmt needed on:" >&2; echo "$$drift" >&2; exit 1; fi
 
 # lint runs the repository's own invariant analyzers (internal/lint via
 # cmd/navlint): hot-path purity, lock discipline, plane separation and

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"repro/internal/aspect"
@@ -161,14 +162,16 @@ func BenchmarkE9ContextResolution(b *testing.B) {
 
 // BenchmarkE10WeaveThroughput measures static whole-site weaving vs
 // request-time page weaving, sequential and with the bounded worker
-// pool (the ≥2× tentpole speedup shows in workers=4/8 vs workers=1).
+// pool, which WeaveSite sizes to GOMAXPROCS (the ≥2× tentpole speedup
+// shows in workers=4/8 vs workers=1 on a machine with that many cores).
 func BenchmarkE10WeaveThroughput(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("static-site-120pages/workers=%d", workers), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			app := syntheticApp(b, 10, 10)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				site, err := app.WeaveSiteWorkers(workers)
+				site, err := app.WeaveSite()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -205,7 +208,7 @@ func BenchmarkE14CachedServe(b *testing.B) {
 		app := syntheticApp(b, 10, 10)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := app.RenderPageCached("ByAuthor:painter000", "painting000_005"); err != nil {
+			if _, _, err := app.RenderPageCachedStat("ByAuthor:painter000", "painting000_005"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -215,7 +218,7 @@ func BenchmarkE14CachedServe(b *testing.B) {
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := app.RenderPageCached("ByAuthor:painter000", "painting000_005"); err != nil {
+				if _, _, err := app.RenderPageCachedStat("ByAuthor:painter000", "painting000_005"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -224,11 +227,11 @@ func BenchmarkE14CachedServe(b *testing.B) {
 }
 
 // BenchmarkE14ConcurrentHTTP measures the full HTTP serving path under
-// concurrent clients, cached vs per-request weaving.
+// concurrent clients.
 func BenchmarkE14ConcurrentHTTP(b *testing.B) {
-	run := func(b *testing.B, opts ...server.Option) {
+	b.Run("cached", func(b *testing.B) {
 		app := syntheticApp(b, 10, 10)
-		ts := httptest.NewServer(server.New(app, opts...))
+		ts := httptest.NewServer(server.New(app))
 		defer ts.Close()
 		url := ts.URL + "/ByAuthor/painter000/painting000_005.html"
 		b.ReportAllocs()
@@ -246,9 +249,7 @@ func BenchmarkE14ConcurrentHTTP(b *testing.B) {
 				}
 			}
 		})
-	}
-	b.Run("cached", func(b *testing.B) { run(b) })
-	b.Run("uncached", func(b *testing.B) { run(b, server.WithoutPageCache()) })
+	})
 }
 
 // BenchmarkE11AdviceOverhead is the ablation: the cost of the interface-

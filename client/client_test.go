@@ -85,7 +85,7 @@ func TestClientModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.SpecText != app.SpecText() {
+	if m.SpecText != app.View().SpecText {
 		t.Errorf("client model spec text differs from the live artifact")
 	}
 	if len(m.Families) != 2 || m.Families[0].Access == nil {

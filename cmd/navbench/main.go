@@ -27,7 +27,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("navbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (e1..e13) or 'all'")
+	exp := fs.String("exp", "all", "experiment id (e1..e14, x1; see -list) or 'all'")
 	list := fs.Bool("list", false, "list experiments and exit")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -362,11 +362,8 @@ func printMutation(out io.Writer, res *client.MutationResult) error {
 	if what == "" {
 		what = res.Document
 	}
-	fmt.Fprintf(out, "mutated %s (generation %d", what, res.CacheGeneration)
-	if res.DroppedPages >= 0 {
-		fmt.Fprintf(out, ", %d cached pages dropped", res.DroppedPages)
-	}
-	fmt.Fprint(out, ")\n")
+	fmt.Fprintf(out, "mutated %s (generation %d, %d cached pages dropped)\n",
+		what, res.CacheGeneration, res.DroppedPages)
 	if len(res.Contexts) > 0 {
 		fmt.Fprintf(out, "affected contexts: %s\n", strings.Join(res.Contexts, ", "))
 	}

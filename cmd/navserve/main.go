@@ -1,7 +1,9 @@
 // Command navserve runs the XLink-aware user agent over a woven
-// application: pages are woven per request from the separated data,
-// linkbase and presentation, and each visitor's navigation trail is
-// tracked in a session (GET /session returns it as JSON).
+// application: each page is woven from the separated data, linkbase and
+// presentation on its first request and served from the woven-page
+// cache after that (the cache drops exactly the pages a model change
+// touched), and each visitor's navigation trail is tracked in a session
+// (GET /session returns it as JSON).
 //
 // Usage:
 //
@@ -11,10 +13,6 @@
 //
 // Serving knobs:
 //
-//	-no-cache          weave every page per request instead of serving
-//	                   from the woven-page cache (the cache is
-//	                   invalidated automatically when the model
-//	                   changes, so it is safe to leave on)
 //	-session-ttl       idle visitor-session lifetime before eviction
 //	                   (default 30m; 0 keeps sessions forever)
 //	-session-shards    lock-shard count of the session store
@@ -44,7 +42,7 @@
 // folds the counts into a per-context transition graph, derives a
 // "popular next" guided tour per context (plus landmark promotion for
 // high-traffic nodes and demotion of never-followed links), and swaps
-// the derived structures in through the same SetAccessStructure path an
+// the derived structures in through the same SetAccessStructures path an
 // operator would use — the dependency-aware cache then re-weaves only
 // the contexts whose edges actually changed, rotating their ETags.
 // GET /stats exposes the recorder counters and per-context top
@@ -262,7 +260,6 @@ func build(args []string) (*http.Server, *buildConfig, int, error) {
 	var flags cli.DatasetFlags
 	flags.Register(fs)
 	addr := fs.String("addr", ":8080", "listen address")
-	noCache := fs.Bool("no-cache", false, "weave every page per request (disable the woven-page cache)")
 	sessionTTL := fs.Duration("session-ttl", server.DefaultSessionTTL,
 		"idle session lifetime before eviction (0 = never expire)")
 	sessionShards := fs.Int("session-shards", server.DefaultSessionShards,
@@ -393,9 +390,6 @@ func build(args []string) (*http.Server, *buildConfig, int, error) {
 	}
 	if *apiToken != "" {
 		opts = append(opts, server.WithAPIToken(*apiToken))
-	}
-	if *noCache {
-		opts = append(opts, server.WithoutPageCache())
 	}
 	if *analyticsOn {
 		opts = append(opts, server.WithAnalytics(

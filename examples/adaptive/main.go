@@ -4,7 +4,7 @@
 // visitors walk their own dominant path through the Picasso rooms, and
 // the analytics pipeline — recorder, transition graph, derivation —
 // compiles their behaviour into an adaptive tour that is swapped in
-// through the same SetAccessStructure call the paper's §5 change
+// through the same SetAccessStructures call the paper's §5 change
 // scenario uses. Navigation is so separate from the conceptual model
 // that the linkbase can be rewritten from telemetry while nothing else
 // moves.
@@ -64,14 +64,16 @@ func main() {
 	// edges changed.
 	cfg := analytics.Config{MinHops: 10, LandmarkShare: 0.35}
 	tours := analytics.Derive(g, analytics.Infos(app.Resolved()), cfg)
+	swaps := make(map[string]navigation.AccessStructure, len(tours))
 	for family, tour := range tours {
 		plan := tour.Plans[ctx]
 		fmt.Printf("\n== derived adaptive tour for %s\n", family)
 		fmt.Printf("order:     %v\n", plan.Order)
 		fmt.Printf("landmarks: %v (visit share over %.0f%%)\n", plan.Landmarks, 100*cfg.LandmarkShare)
-		if err := app.SetAccessStructure(family, tour); err != nil {
-			log.Fatal(err)
-		}
+		swaps[family] = tour
+	}
+	if _, err := app.SetAccessStructures(swaps); err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Println("\n== woven structure after adaptation")

@@ -63,7 +63,8 @@ func main() {
 	fmt.Println(page.HTML)
 
 	// 4. The requirements change: one declaration swap, zero page edits.
-	if err := app.SetAccessStructure("ByAuthor", navaspect.IndexedGuidedTour{}); err != nil {
+	swap := map[string]navaspect.AccessStructure{"ByAuthor": navaspect.IndexedGuidedTour{}}
+	if _, err := app.SetAccessStructures(swap); err != nil {
 		log.Fatal(err)
 	}
 	page, err = app.RenderPage("ByAuthor:picasso", "guitar")

@@ -59,7 +59,7 @@ func (c Config) withDefaults() Config {
 }
 
 // ContextInfo names one resolvable context the deriver may compile a
-// plan for: its instance name, the family SetAccessStructure swaps, the
+// plan for: its instance name, the family SetAccessStructures swaps, the
 // authored member order (the fallback ordering for unseen nodes), and
 // the authored access structure (served verbatim to zero-traffic
 // siblings of an adapted context).
@@ -123,7 +123,7 @@ func InfosFromLinkbase(lcs []*navigation.LinkbaseContext) []ContextInfo {
 
 // Derive compiles the transition graph into adaptive access structures,
 // one per context family that has at least one context with enough
-// traffic, keyed by family name — ready to hand to SetAccessStructure,
+// traffic, keyed by family name — ready to hand to SetAccessStructures,
 // whose rebuild diff then computes the invalidation radius of the swap.
 //
 // Per qualifying context the plan holds:

@@ -115,8 +115,8 @@ type MutationResult struct {
 	Document string `json:"document,omitempty"`
 	// Contexts lists the resolved instances affected by the mutation.
 	Contexts []string `json:"contexts,omitempty"`
-	// DroppedPages is how many cached pages the mutation invalidated
-	// (-1 when the mutation path does not report a count).
+	// DroppedPages is how many cached pages the mutation invalidated —
+	// the pages_invalidated of the mutation's /api/v1/events record.
 	DroppedPages    int    `json:"dropped_pages"`
 	CacheGeneration uint64 `json:"cache_generation"`
 }
@@ -196,7 +196,7 @@ type EventsResponse struct {
 type TraceSpan struct {
 	// Phase names the lifecycle step from the fixed vocabulary: "admit",
 	// "session-lookup", "session-rehydrate", "cache-hit", "cache-join",
-	// "cache-miss", "weave", "hop-record", "flush-enqueue", "storage-op",
+	// "cache-miss", "hop-record", "flush-enqueue", "storage-op",
 	// "response-write" or "mutation".
 	Phase string `json:"phase"`
 	// StartNS is the span's start offset from the request's start.

@@ -29,7 +29,7 @@ func TestAdaptiveSwapWeavesDerivedStructure(t *testing.T) {
 	wc := newWeaveCounter(app)
 	warm := func(ctx, node string) *Page {
 		t.Helper()
-		p, err := app.RenderPageCached(ctx, node)
+		p, _, err := app.RenderPageCachedStat(ctx, node)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,11 +16,11 @@ func TestRenderPageCachedHitAllocs(t *testing.T) {
 		t.Skip("race instrumentation skews allocation counts")
 	}
 	app := paperApp(t, navigation.GuidedTour{})
-	if _, err := app.RenderPageCached("ByAuthor:picasso", "guitar"); err != nil {
+	if _, _, err := app.RenderPageCachedStat("ByAuthor:picasso", "guitar"); err != nil {
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		if _, err := app.RenderPageCached("ByAuthor:picasso", "guitar"); err != nil {
+		if _, _, err := app.RenderPageCachedStat("ByAuthor:picasso", "guitar"); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {

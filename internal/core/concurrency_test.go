@@ -20,12 +20,12 @@ func TestWeaveSiteParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := app.WeaveSiteWorkers(1)
+	seq, err := app.weaveSite(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		par, err := app.WeaveSiteWorkers(workers)
+		par, err := app.weaveSite(workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -86,14 +86,14 @@ func TestConcurrentRenderPage(t *testing.T) {
 // TestRenderPageCached checks the cache serves hits and stays coherent.
 func TestRenderPageCached(t *testing.T) {
 	app := paperApp(t, navigation.IndexedGuidedTour{})
-	first, err := app.RenderPageCached("ByAuthor:picasso", "guitar")
+	first, _, err := app.RenderPageCachedStat("ByAuthor:picasso", "guitar")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if app.CachedPages() != 1 {
 		t.Errorf("cached pages = %d, want 1", app.CachedPages())
 	}
-	second, err := app.RenderPageCached("ByAuthor:picasso", "guitar")
+	second, _, err := app.RenderPageCachedStat("ByAuthor:picasso", "guitar")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +108,10 @@ func TestRenderPageCached(t *testing.T) {
 		t.Error("cached page HTML differs from a fresh render")
 	}
 	// The empty node id normalizes to the hub, sharing one cache slot.
-	if _, err := app.RenderPageCached("ByAuthor:picasso", ""); err != nil {
+	if _, _, err := app.RenderPageCachedStat("ByAuthor:picasso", ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.RenderPageCached("ByAuthor:picasso", navigation.HubID); err != nil {
+	if _, _, err := app.RenderPageCachedStat("ByAuthor:picasso", navigation.HubID); err != nil {
 		t.Fatal(err)
 	}
 	if app.CachedPages() != 2 {
@@ -130,9 +130,9 @@ func TestCachedRenderCoalescesMisses(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := app.RenderPageCached("ByAuthor:picasso", "guitar")
+			p, _, err := app.RenderPageCachedStat("ByAuthor:picasso", "guitar")
 			if err != nil {
-				t.Errorf("RenderPageCached: %v", err)
+				t.Errorf("RenderPageCachedStat: %v", err)
 				return
 			}
 			pages[i] = p
@@ -151,20 +151,20 @@ func TestCachedRenderCoalescesMisses(t *testing.T) {
 // must not survive the swap to IndexedGuidedTour.
 func TestCacheInvalidationOnSetAccessStructure(t *testing.T) {
 	app := paperApp(t, navigation.Index{})
-	before, err := app.RenderPageCached("ByAuthor:picasso", "guitar")
+	before, _, err := app.RenderPageCachedStat("ByAuthor:picasso", "guitar")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(before.HTML, "nav-next") {
 		t.Fatal("Index page should not carry Next links")
 	}
-	if err := app.SetAccessStructure("ByAuthor", navigation.IndexedGuidedTour{}); err != nil {
+	if _, err := app.SetAccessStructures(map[string]navigation.AccessStructure{"ByAuthor": navigation.IndexedGuidedTour{}}); err != nil {
 		t.Fatal(err)
 	}
 	if app.CachedPages() != 0 {
 		t.Errorf("cache not invalidated: %d pages", app.CachedPages())
 	}
-	after, err := app.RenderPageCached("ByAuthor:picasso", "guitar")
+	after, _, err := app.RenderPageCachedStat("ByAuthor:picasso", "guitar")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestCacheInvalidationOnSetAccessStructure(t *testing.T) {
 // also drops cached pages (nil restores built-in presentation).
 func TestCacheInvalidationOnSetStylesheet(t *testing.T) {
 	app := paperApp(t, navigation.Index{})
-	if _, err := app.RenderPageCached("ByAuthor:picasso", "guitar"); err != nil {
+	if _, _, err := app.RenderPageCachedStat("ByAuthor:picasso", "guitar"); err != nil {
 		t.Fatal(err)
 	}
 	if app.CachedPages() == 0 {
@@ -207,8 +207,8 @@ func TestConcurrentCachedRenderWithMutation(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := app.RenderPageCached("ByAuthor:picasso", "guitar"); err != nil {
-					t.Errorf("RenderPageCached: %v", err)
+				if _, _, err := app.RenderPageCachedStat("ByAuthor:picasso", "guitar"); err != nil {
+					t.Errorf("RenderPageCachedStat: %v", err)
 					return
 				}
 			}
@@ -219,7 +219,7 @@ func TestConcurrentCachedRenderWithMutation(t *testing.T) {
 		if i%2 == 1 {
 			as = navigation.Index{}
 		}
-		if err := app.SetAccessStructure("ByAuthor", as); err != nil {
+		if _, err := app.SetAccessStructures(map[string]navigation.AccessStructure{"ByAuthor": as}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,7 +227,7 @@ func TestConcurrentCachedRenderWithMutation(t *testing.T) {
 	wg.Wait()
 
 	// The last swap installed Index; the cache must never serve IGT.
-	page, err := app.RenderPageCached("ByAuthor:picasso", "guitar")
+	page, _, err := app.RenderPageCachedStat("ByAuthor:picasso", "guitar")
 	if err != nil {
 		t.Fatal(err)
 	}

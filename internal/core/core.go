@@ -17,7 +17,8 @@
 // into each page. Changing the access structure — the paper's §5
 // requirements change that forced edits to every page of the tangled
 // implementation (Figures 3–4) — becomes a one-line re-declaration here:
-// SetAccessStructure re-resolves, regenerates links.xml and re-weaves.
+// SetAccessStructures re-resolves, regenerates links.xml and drops the
+// pages the swap touched.
 package core
 
 import (
@@ -54,11 +55,16 @@ const (
 // App is a woven web application: one conceptual store, one navigational
 // model, optional custom presentation, and an aspect weaver.
 //
+// An App offers each operation once. Pages are read through
+// RenderPageCachedStat (the cached serve), RenderPage (one uncached
+// weave) or WeaveSite (every page); the model is changed through
+// SetAccessStructures, SetStylesheet and EditDocument, each returning
+// how many cached pages it dropped.
+//
 // An App is safe for concurrent use: any number of goroutines may render
-// pages (RenderPage, RenderPageCached, WeaveSite) while others mutate the
-// model (SetAccessStructure, SetStylesheet). Renders see either the old
-// or the new model, never a mix, and the page cache is invalidated
-// atomically with every mutation.
+// pages while others mutate the model. Renders see either the old or the
+// new model, never a mix, and the page cache is invalidated atomically
+// with every mutation.
 type App struct {
 	store *conceptual.Store
 	model *navigation.Model
@@ -68,23 +74,17 @@ type App struct {
 	docs   *docCache
 	// events traces recent mutations: duration, diff verdict and
 	// invalidation blast radius per model change (see Events).
-	events *obs.EventRing
+	events *obs.Ring[obs.MutationEvent]
 
 	// mu guards the model-derived state below: renders hold the read
 	// lock for the whole pipeline; rebuilds hold the write lock.
 	mu         sync.RWMutex
 	stylesheet *presentation.Stylesheet
-	// stylesheetSrc is the XML source of the stylesheet when it was
-	// installed through SetStylesheetXML (the control plane's PUT), so
-	// GET /api/v1/stylesheet can serve back the exact artifact. Empty
-	// when the built-in presentation or a programmatic stylesheet is in
-	// effect.
-	stylesheetSrc string
-	resolved      *navigation.ResolvedModel
-	repo          xlink.MapRepository
-	linkbase      *xmldom.Document
-	lbContexts    map[string]*navigation.LinkbaseContext
-	sig           modelSig
+	resolved   *navigation.ResolvedModel
+	repo       xlink.MapRepository
+	linkbase   *xmldom.Document
+	lbContexts map[string]*navigation.LinkbaseContext
+	sig        modelSig
 }
 
 // contextSig fingerprints the parts of one linkbase context that woven
@@ -116,7 +116,7 @@ func NewApp(store *conceptual.Store, model *navigation.Model) (*App, error) {
 		weaver: aspect.NewWeaver(),
 		cache:  newPageCache(),
 		docs:   newDocCache(),
-		events: obs.NewEventRing(eventRingCapacity),
+		events: obs.NewRing[obs.MutationEvent](eventRingCapacity),
 	}
 	if _, _, err := app.rebuild(); err != nil {
 		return nil, err
@@ -306,63 +306,36 @@ func (app *App) Repository() xlink.MapRepository {
 	return app.repo
 }
 
-// SetStylesheet installs a custom presentation stylesheet for node pages.
-// It must transform a node data document (e.g. Figure 7's painter XML)
-// into a single html element. A nil stylesheet restores the built-in
-// presentation. Only the cached pages woven through the stylesheet slot
-// — member pages — are invalidated; hub shells and the serialized
-// documents never consult it and stay cached.
-func (app *App) SetStylesheet(ss *presentation.Stylesheet) {
+// SetStylesheet installs a custom presentation stylesheet for node pages
+// and returns how many cached pages it dropped. It must transform a node
+// data document (e.g. Figure 7's painter XML) into a single html
+// element. A nil stylesheet restores the built-in presentation. Only the
+// cached pages woven through the stylesheet slot — member pages — are
+// invalidated; hub shells and the serialized documents never consult it
+// and stay cached. Parse an XML stylesheet before calling it
+// (presentation.ParseStylesheetString): a malformed source then changes
+// nothing.
+func (app *App) SetStylesheet(ss *presentation.Stylesheet) int {
 	start := time.Now()
 	app.mu.Lock()
 	defer app.mu.Unlock()
 	app.stylesheet = ss
-	app.stylesheetSrc = ""
 	dropped := app.cache.invalidateMatching(func(p *Page) bool { return p.deps.stylesheet })
 	app.recordMutation("stylesheet", "stylesheet", start, dropped, verdictLocal)
+	return dropped
 }
 
-// SetStylesheetXML parses the XML form of a presentation stylesheet and
-// installs it, retaining the source text so the control plane can serve
-// the exact artifact back (StylesheetXML). A blank source restores the
-// built-in presentation. The parse happens before any state moves —
-// validate-then-mutate: a malformed stylesheet changes nothing.
-func (app *App) SetStylesheetXML(src string) error {
-	if strings.TrimSpace(src) == "" {
-		app.SetStylesheet(nil)
-		return nil
-	}
-	ss, err := presentation.ParseStylesheetString(src)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	app.mu.Lock()
-	defer app.mu.Unlock()
-	app.stylesheet = ss
-	app.stylesheetSrc = src
-	dropped := app.cache.invalidateMatching(func(p *Page) bool { return p.deps.stylesheet })
-	app.recordMutation("stylesheet", "stylesheet", start, dropped, verdictLocal)
-	return nil
-}
-
-// StylesheetXML returns the XML source of the stylesheet installed
-// through SetStylesheetXML, and whether one is in effect. The built-in
-// presentation and programmatically installed stylesheets have no XML
-// source, so they report false.
+// StylesheetXML returns the XML source of the installed stylesheet, and
+// whether it has one. The built-in presentation and stylesheets built in
+// code have no XML source, so they report false.
 func (app *App) StylesheetXML() (string, bool) {
 	app.mu.RLock()
 	defer app.mu.RUnlock()
-	return app.stylesheetSrc, app.stylesheetSrc != ""
-}
-
-// SpecText renders the current navigational model as its declaration
-// artifact (navigation.SpecText), read under the model lock so a
-// concurrent access-structure swap cannot tear the text mid-render.
-func (app *App) SpecText() string {
-	app.mu.RLock()
-	defer app.mu.RUnlock()
-	return navigation.SpecText(app.model)
+	if app.stylesheet == nil {
+		return "", false
+	}
+	src := app.stylesheet.Source()
+	return src, src != ""
 }
 
 // ModelView is one consistent read of everything the control plane's
@@ -398,23 +371,16 @@ func (app *App) View() ModelView {
 // errors.Is to answer 404 rather than 500.
 var ErrUnknownFamily = errors.New("unknown context family")
 
-// SetAccessStructure swaps the access structure of one context family and
-// re-derives the linkbase — the paper's requirements change (Index to
-// Indexed Guided Tour), reduced from editing every page to one call.
-// Cached pages are invalidated atomically with the swap, so the paper's
-// motivating change-cost scenario stays correct under cached serving.
-func (app *App) SetAccessStructure(family string, as navigation.AccessStructure) error {
-	_, err := app.SetAccessStructures(map[string]navigation.AccessStructure{family: as})
-	return err
-}
-
-// SetAccessStructures swaps the access structures of several context
-// families atomically, with one re-derivation and one invalidation diff
-// for the whole batch — what the adaptation loop wants when a derive
-// cycle updates every family at once, where per-family calls would cost
-// a full rebuild each. All families are validated before any is
-// mutated; an empty map is a no-op. It returns how many cached pages
-// the batch invalidated — the blast radius the dependency-aware diff
+// SetAccessStructures swaps the access structures of one or more context
+// families and re-derives the linkbase — the paper's requirements change
+// (Index to Indexed Guided Tour), reduced from editing every page to one
+// call: SetAccessStructures(map[string]navigation.AccessStructure{
+// "ByAuthor": navigation.IndexedGuidedTour{}}). A batch swaps
+// atomically, with one re-derivation and one invalidation diff — what
+// the adaptation loop wants when a derive cycle updates every family at
+// once. All families are validated before any is mutated; an empty map
+// is a no-op. Cached pages are invalidated atomically with the swap, and
+// it returns how many — the blast radius the dependency-aware diff
 // decided on, which the control plane reports back to the operator.
 func (app *App) SetAccessStructures(swaps map[string]navigation.AccessStructure) (int, error) {
 	if len(swaps) == 0 {
@@ -564,9 +530,10 @@ func strongETag(gen uint64, body []byte) string {
 func (app *App) CachedPages() int { return app.cache.size() }
 
 // CacheGeneration returns the woven-page cache's current generation.
-// Every model mutation (SetAccessStructure, SetStylesheet) advances it,
-// so it doubles as the HTTP validator: the server folds it into ETags,
-// making every cached response self-invalidate on the next mutation.
+// Every invalidating mutation (a structure swap, a stylesheet install, an
+// edit that changed a document) advances it, so it doubles as the HTTP
+// validator: the server folds it into ETags, making every cached
+// response self-invalidate on the next mutation.
 func (app *App) CacheGeneration() uint64 { return app.cache.generation() }
 
 // PagePath returns the site-relative path of a page: the hub page of a

@@ -137,7 +137,7 @@ func TestContextSwitchLinks(t *testing.T) {
 }
 
 // TestAccessStructureSwap is the paper's requirements change end to end:
-// one SetAccessStructure call turns every page of the family from Figure 3
+// one SetAccessStructures call turns every page of the family from Figure 3
 // into Figure 4.
 func TestAccessStructureSwap(t *testing.T) {
 	app := paperApp(t, navigation.Index{})
@@ -148,7 +148,7 @@ func TestAccessStructureSwap(t *testing.T) {
 	if strings.Contains(before.HTML, "nav-next") {
 		t.Fatal("index page already has Next")
 	}
-	if err := app.SetAccessStructure("ByAuthor", navigation.IndexedGuidedTour{}); err != nil {
+	if _, err := app.SetAccessStructures(map[string]navigation.AccessStructure{"ByAuthor": navigation.IndexedGuidedTour{}}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := app.RenderPage("ByAuthor:picasso", "guitar")
@@ -166,7 +166,7 @@ func TestAccessStructureSwap(t *testing.T) {
 	if strings.Contains(cubism.HTML, "nav-next") {
 		t.Error("swap leaked into ByMovement family")
 	}
-	if err := app.SetAccessStructure("Ghost", navigation.Index{}); err == nil {
+	if _, err := app.SetAccessStructures(map[string]navigation.AccessStructure{"Ghost": navigation.Index{}}); err == nil {
 		t.Error("unknown family accepted")
 	}
 }

@@ -39,7 +39,7 @@ func (wc *weaveCounter) count(contextName, nodeID string) int {
 }
 
 // TestInvalidationSparesOtherFamilies is the acceptance scenario of the
-// dependency-aware cache: after SetAccessStructure on one context
+// dependency-aware cache: after SetAccessStructures on one context
 // family, cached pages of the other families are served without
 // re-weaving (the weave counter stays put), while the mutated family's
 // pages are re-woven with the new structure.
@@ -49,7 +49,7 @@ func TestInvalidationSparesOtherFamilies(t *testing.T) {
 
 	warm := func(ctx, node string) *Page {
 		t.Helper()
-		p, err := app.RenderPageCached(ctx, node)
+		p, _, err := app.RenderPageCachedStat(ctx, node)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestInvalidationSparesOtherFamilies(t *testing.T) {
 		t.Fatalf("warmup weaves = %d, want 1", n)
 	}
 
-	if err := app.SetAccessStructure("ByAuthor", navigation.IndexedGuidedTour{}); err != nil {
+	if _, err := app.SetAccessStructures(map[string]navigation.AccessStructure{"ByAuthor": navigation.IndexedGuidedTour{}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,7 +104,7 @@ func TestHubSwapSparesOtherFamilies(t *testing.T) {
 
 	warm := func(ctx, node string) *Page {
 		t.Helper()
-		p, err := app.RenderPageCached(ctx, node)
+		p, _, err := app.RenderPageCachedStat(ctx, node)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestHubSwapSparesOtherFamilies(t *testing.T) {
 	warm("ByAuthor:picasso", navigation.HubID)
 	warm("ByAuthor:picasso", "guitar")
 
-	if err := app.SetAccessStructure("ByAuthor", navigation.GuidedTour{}); err != nil {
+	if _, err := app.SetAccessStructures(map[string]navigation.AccessStructure{"ByAuthor": navigation.GuidedTour{}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,7 +131,7 @@ func TestHubSwapSparesOtherFamilies(t *testing.T) {
 	if strings.Contains(page.HTML, `class="nav-up"`) {
 		t.Errorf("guided-tour page still has an Up link:\n%s", page.HTML)
 	}
-	if _, err := app.RenderPageCached("ByAuthor:picasso", navigation.HubID); err == nil {
+	if _, _, err := app.RenderPageCachedStat("ByAuthor:picasso", navigation.HubID); err == nil {
 		t.Error("hub page still renders after the structure lost it")
 	}
 }
@@ -139,11 +139,11 @@ func TestHubSwapSparesOtherFamilies(t *testing.T) {
 func TestSetStylesheetSparesHubPages(t *testing.T) {
 	app := paperApp(t, navigation.Index{})
 	wc := newWeaveCounter(app)
-	hub, err := app.RenderPageCached("ByAuthor:picasso", navigation.HubID)
+	hub, _, err := app.RenderPageCachedStat("ByAuthor:picasso", navigation.HubID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.RenderPageCached("ByAuthor:picasso", "guitar"); err != nil {
+	if _, _, err := app.RenderPageCachedStat("ByAuthor:picasso", "guitar"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -152,7 +152,7 @@ func TestSetStylesheetSparesHubPages(t *testing.T) {
 	if app.CachedPages() != 1 {
 		t.Errorf("cached pages after SetStylesheet = %d, want 1 (the hub)", app.CachedPages())
 	}
-	hubAgain, err := app.RenderPageCached("ByAuthor:picasso", navigation.HubID)
+	hubAgain, _, err := app.RenderPageCachedStat("ByAuthor:picasso", navigation.HubID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestSetStylesheetSparesHubPages(t *testing.T) {
 	if n := wc.count("ByAuthor:picasso", navigation.HubID); n != 1 {
 		t.Errorf("hub weaves = %d, want 1", n)
 	}
-	if _, err := app.RenderPageCached("ByAuthor:picasso", "guitar"); err != nil {
+	if _, _, err := app.RenderPageCachedStat("ByAuthor:picasso", "guitar"); err != nil {
 		t.Fatal(err)
 	}
 	if n := wc.count("ByAuthor:picasso", "guitar"); n != 2 {
@@ -177,7 +177,7 @@ func TestEditDocumentDropsOnlyDependents(t *testing.T) {
 	app := paperApp(t, navigation.IndexedGuidedTour{})
 	warm := func(ctx, node string) *Page {
 		t.Helper()
-		p, err := app.RenderPageCached(ctx, node)
+		p, _, err := app.RenderPageCachedStat(ctx, node)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestEditDocumentDropsOnlyDependents(t *testing.T) {
 // so editing one must invalidate wide, not just the node's own pages.
 func TestEditDocumentTitleEditReachesNavigation(t *testing.T) {
 	app := paperApp(t, navigation.IndexedGuidedTour{})
-	hub, err := app.RenderPageCached("ByAuthor:picasso", navigation.HubID)
+	hub, _, err := app.RenderPageCachedStat("ByAuthor:picasso", navigation.HubID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestEditDocumentTitleEditReachesNavigation(t *testing.T) {
 	if app.CachedPages() != 0 {
 		t.Errorf("cached pages = %d, want 0 (a title edit reaches every anchor)", app.CachedPages())
 	}
-	hubAfter, err := app.RenderPageCached("ByAuthor:picasso", navigation.HubID)
+	hubAfter, _, err := app.RenderPageCachedStat("ByAuthor:picasso", navigation.HubID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,10 +311,10 @@ func TestSetAttrDuringRenderRace(t *testing.T) {
 func TestInvalidationRace(t *testing.T) {
 	app := paperApp(t, navigation.Index{})
 	wc := newWeaveCounter(app)
-	if _, err := app.RenderPageCached("ByMovement:cubism", "guitar"); err != nil {
+	if _, _, err := app.RenderPageCachedStat("ByMovement:cubism", "guitar"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.RenderPageCached("ByMovement:surrealism", "memory"); err != nil {
+	if _, _, err := app.RenderPageCachedStat("ByMovement:surrealism", "memory"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -336,8 +336,8 @@ func TestInvalidationRace(t *testing.T) {
 				default:
 				}
 				p := pairs[(g+i)%len(pairs)]
-				if _, err := app.RenderPageCached(p[0], p[1]); err != nil {
-					t.Errorf("RenderPageCached(%s,%s): %v", p[0], p[1], err)
+				if _, _, err := app.RenderPageCachedStat(p[0], p[1]); err != nil {
+					t.Errorf("RenderPageCachedStat(%s,%s): %v", p[0], p[1], err)
 					return
 				}
 			}
@@ -348,7 +348,7 @@ func TestInvalidationRace(t *testing.T) {
 		if i%2 == 1 {
 			as = navigation.Index{}
 		}
-		if err := app.SetAccessStructure("ByAuthor", as); err != nil {
+		if _, err := app.SetAccessStructures(map[string]navigation.AccessStructure{"ByAuthor": as}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,7 +364,7 @@ func TestInvalidationRace(t *testing.T) {
 		t.Errorf("surrealism/memory weaves = %d, want 1 (page must stay cached)", n)
 	}
 	// The final swap installed Index: stale IGT markup must be gone.
-	page, err := app.RenderPageCached("ByAuthor:picasso", "guitar")
+	page, _, err := app.RenderPageCachedStat("ByAuthor:picasso", "guitar")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func BenchmarkSetAccessStructure(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := app.SetAccessStructure("ByMovement", structures[i%2]); err != nil {
+		if _, err := app.SetAccessStructures(map[string]navigation.AccessStructure{"ByMovement": structures[i%2]}); err != nil {
 			b.Fatal(err)
 		}
 	}

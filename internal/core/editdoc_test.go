@@ -81,7 +81,7 @@ func allPages(app *App) [][2]string {
 func warmAll(t *testing.T, app *App) {
 	t.Helper()
 	for _, p := range allPages(app) {
-		if _, err := app.RenderPageCached(p[0], p[1]); err != nil {
+		if _, _, err := app.RenderPageCachedStat(p[0], p[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,11 +141,11 @@ func assertTwins(t *testing.T, step string, got, want *App) {
 		if gp[i] != p {
 			t.Fatalf("%s: page %d is %v, full rebuild %v", step, i, gp[i], p)
 		}
-		g, err := got.RenderPageCached(p[0], p[1])
+		g, _, err := got.RenderPageCachedStat(p[0], p[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := want.RenderPageCached(p[0], p[1])
+		w, _, err := want.RenderPageCachedStat(p[0], p[1])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -125,7 +125,7 @@ func TestSnapshotTracksModelMutation(t *testing.T) {
 	}
 	genBefore, _ := st.Generation()
 
-	if err := app.SetAccessStructure("ByAuthor", navigation.Index{}); err != nil {
+	if _, err := app.SetAccessStructures(map[string]navigation.AccessStructure{"ByAuthor": navigation.Index{}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := app.ExportSnapshot(st); err != nil {

@@ -99,21 +99,19 @@ type weaveTask struct {
 // WeaveSite statically weaves every page of every resolved context,
 // running the full aspect pipeline per page — the build-time flavour of
 // the paper's Figure 6 composition. Pages are woven by a bounded worker
-// pool sized to GOMAXPROCS; use WeaveSiteWorkers to pick the size. The
-// woven output is deterministic regardless of worker count: every page's
-// content depends only on its own (context, node) pair.
+// pool sized to GOMAXPROCS, so callers pick the parallelism with
+// runtime.GOMAXPROCS. The woven output is deterministic regardless of
+// worker count: every page's content depends only on its own (context,
+// node) pair.
 func (app *App) WeaveSite() (*Site, error) {
-	return app.WeaveSiteWorkers(0)
+	return app.weaveSite(runtime.GOMAXPROCS(0))
 }
 
-// WeaveSiteWorkers weaves the site with the given number of concurrent
-// page workers. workers <= 0 selects GOMAXPROCS. While the weaver is
-// tracing, weaving is forced sequential so the recorded advice trace
-// stays deterministic (the E1 figure's contract).
-func (app *App) WeaveSiteWorkers(workers int) (*Site, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// weaveSite weaves the site with the given number of concurrent page
+// workers. While the weaver is tracing, weaving is forced sequential so
+// the recorded advice trace stays deterministic (the E1 figure's
+// contract).
+func (app *App) weaveSite(workers int) (*Site, error) {
 	if app.weaver.Tracing() {
 		workers = 1
 	}
@@ -190,8 +188,9 @@ func (app *App) renderAll(tasks []weaveTask, workers int) ([]*Page, error) {
 	return out, nil
 }
 
-// RenderPage weaves a single page on demand — the request-time flavour
-// used by the XLink-aware server.
+// RenderPage weaves a single page on demand, bypassing the page cache:
+// the weave a cache miss runs, and the reference the cached serve must
+// match byte for byte.
 func (app *App) RenderPage(contextName, nodeID string) (*Page, error) {
 	app.mu.RLock()
 	defer app.mu.RUnlock()
@@ -212,23 +211,15 @@ const (
 	CacheMiss
 )
 
-// RenderPageCached is RenderPage behind the woven-page cache: a hit
+// RenderPageCachedStat is RenderPage behind the woven-page cache: a hit
 // returns the previously woven page, a miss weaves and caches it, and
-// concurrent misses for the same page coalesce into one weave. The
-// cache is invalidated by SetAccessStructure and SetStylesheet, so a
-// visitor can never be served a page woven from a superseded model.
-// The returned page is shared: serve its HTML, do not mutate its Doc.
-//
-//repro:hotpath
-func (app *App) RenderPageCached(contextName, nodeID string) (*Page, error) {
-	page, _, err := app.RenderPageCachedStat(contextName, nodeID)
-	return page, err
-}
-
-// RenderPageCachedStat is RenderPageCached reporting how the cache
-// satisfied the request (hit, single-flight join, or leading miss).
-// A join that has to retry against a moved generation reports the
-// outcome of its final round.
+// concurrent misses for the same page coalesce into one weave. It
+// reports how the cache satisfied the request (hit, single-flight join,
+// or leading miss); a join that has to retry against a moved generation
+// reports the outcome of its final round. Every model mutation
+// invalidates the pages it touched, so a visitor can never be served a
+// page woven from a superseded model. The returned page is shared:
+// serve its Body, do not mutate its Doc.
 //
 //repro:hotpath
 func (app *App) RenderPageCachedStat(contextName, nodeID string) (*Page, CacheOutcome, error) {

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -431,16 +432,18 @@ func E14ConcurrentServing() (string, error) {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "site: %d pages\n", site.Len())
-	sb.WriteString("parallel static weave (bounded worker pool):\n")
-	for _, workers := range []int{1, 2, 4, 8} {
+	sb.WriteString("parallel static weave (worker pool sized to GOMAXPROCS):\n")
+	for _, procs := range []int{1, 2, 4, 8} {
+		prev := runtime.GOMAXPROCS(procs)
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := app.WeaveSiteWorkers(workers); err != nil {
+				if _, err := app.WeaveSite(); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		fmt.Fprintf(&sb, "  workers=%d: %s\n", workers, r)
+		runtime.GOMAXPROCS(prev)
+		fmt.Fprintf(&sb, "  GOMAXPROCS=%d: %s\n", procs, r)
 	}
 	uncached := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -451,7 +454,7 @@ func E14ConcurrentServing() (string, error) {
 	})
 	cached := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := app.RenderPageCached("ByAuthor:painter000", "painting000_005"); err != nil {
+			if _, _, err := app.RenderPageCachedStat("ByAuthor:painter000", "painting000_005"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -462,13 +465,13 @@ func E14ConcurrentServing() (string, error) {
 		fmt.Fprintf(&sb, "cache speedup: %.0fx\n", float64(u)/float64(c))
 	}
 	// Invalidation correctness: the §5 change must evict cached pages.
-	if _, err := app.RenderPageCached("ByAuthor:painter000", "painting000_001"); err != nil {
+	if _, _, err := app.RenderPageCachedStat("ByAuthor:painter000", "painting000_001"); err != nil {
 		return "", err
 	}
-	if err := app.SetAccessStructure("ByAuthor", navigation.Index{}); err != nil {
+	if _, err := app.SetAccessStructures(map[string]navigation.AccessStructure{"ByAuthor": navigation.Index{}}); err != nil {
 		return "", err
 	}
-	fmt.Fprintf(&sb, "after SetAccessStructure: %d cached pages (cache invalidated)\n",
+	fmt.Fprintf(&sb, "after SetAccessStructures: %d cached pages (cache invalidated)\n",
 		app.CachedPages())
 	return sb.String(), nil
 }

@@ -91,7 +91,7 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 
 // ObjectKey is the canonical cross-package name of an object: the
 // types.Func full name for functions and methods (e.g.
-// "(*repro/internal/core.App).RenderPageCached"), package path + "." +
+// "(*repro/internal/core.App).RenderPageCachedStat"), package path + "." +
 // name otherwise. It is identical whether the object was type-checked
 // from source or read back from export data, which is what lets facts
 // written by one driver mode be read by the other.

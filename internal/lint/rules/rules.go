@@ -130,10 +130,8 @@ var StdlibSins = map[string]Sin{
 // type is held (the mutation takes the write lock — self-deadlock).
 var MutationPlane = map[string][]string{
 	"repro/internal/core.App": {
-		"SetAccessStructure",
 		"SetAccessStructures",
 		"SetStylesheet",
-		"SetStylesheetXML",
 		"EditDocument",
 		// Replication-plane entry points ride the same confinement: the
 		// serve path has no business exporting snapshots either.

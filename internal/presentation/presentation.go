@@ -276,7 +276,14 @@ type Rule struct {
 // text), like an empty XSLT stylesheet.
 type Stylesheet struct {
 	rules []*Rule
+	// src is the XML text ParseStylesheetString read the stylesheet
+	// from; empty for stylesheets built in code or from a parsed tree.
+	src string
 }
+
+// Source returns the XML text the stylesheet was parsed from
+// (ParseStylesheetString), or "" when it has none.
+func (ss *Stylesheet) Source() string { return ss.src }
 
 // AddRule appends a rule with the given match pattern and priority.
 // Among rules that match the same node, the highest priority wins; ties go

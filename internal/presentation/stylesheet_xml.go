@@ -61,13 +61,20 @@ func ParseStylesheet(doc *xmldom.Document) (*Stylesheet, error) {
 	return ss, nil
 }
 
-// ParseStylesheetString is ParseStylesheet over a source string.
+// ParseStylesheetString is ParseStylesheet over a source string. The
+// stylesheet keeps src, so the exact artifact can be served back
+// (Source).
 func ParseStylesheetString(src string) (*Stylesheet, error) {
 	doc, err := xmldom.ParseString(src)
 	if err != nil {
 		return nil, fmt.Errorf("presentation: stylesheet XML: %w", err)
 	}
-	return ParseStylesheet(doc)
+	ss, err := ParseStylesheet(doc)
+	if err != nil {
+		return nil, err
+	}
+	ss.src = src
+	return ss, nil
 }
 
 // parseBody converts an element's children into instructions.

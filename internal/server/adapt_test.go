@@ -143,7 +143,7 @@ func TestAdaptiveEndToEnd(t *testing.T) {
 	// An operator reverting the family by hand is not silently
 	// ignored: the next cycle re-derives and re-installs the tour (the
 	// steady-state skip compares against the live structure).
-	if err := srv.app.SetAccessStructure("ByAuthor", navigation.IndexedGuidedTour{}); err != nil {
+	if _, err := srv.app.SetAccessStructures(map[string]navigation.AccessStructure{"ByAuthor": navigation.IndexedGuidedTour{}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.Adapt(); err != nil {
@@ -395,8 +395,8 @@ func TestAdaptationLoopAgainstTraffic(t *testing.T) {
 			if i%2 == 0 {
 				as = navigation.IndexedGuidedTour{}
 			}
-			if err := srv.app.SetAccessStructure("ByMovement", as); err != nil {
-				t.Errorf("SetAccessStructure: %v", err)
+			if _, err := srv.app.SetAccessStructures(map[string]navigation.AccessStructure{"ByMovement": as}); err != nil {
+				t.Errorf("SetAccessStructures: %v", err)
 				return
 			}
 		}

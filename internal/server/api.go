@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/navigation"
 	"repro/internal/obs"
+	"repro/internal/presentation"
 )
 
 // maxAPIBody bounds control-plane request bodies: a structure spec or a
@@ -112,7 +113,7 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, rt reqTrace) {
 		case http.MethodPut:
 			s.apiStylesheetPut(w, r, rt)
 		case http.MethodDelete:
-			s.apiStylesheetDelete(w, rt)
+			s.installStylesheet(w, nil, rt)
 		default:
 			allowMethods(w, method, http.MethodGet, http.MethodPut, http.MethodDelete)
 		}
@@ -479,28 +480,24 @@ func (s *Server) apiStylesheetPut(w http.ResponseWriter, r *http.Request, rt req
 		apiError(w, http.StatusBadRequest, "empty stylesheet (DELETE restores the built-in presentation)")
 		return
 	}
-	mutFrom := rt.now()
-	err := s.app.SetStylesheetXML(string(body))
-	rt.span(obs.PhaseMutation, mutFrom)
+	ss, err := presentation.ParseStylesheetString(string(body))
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "invalid stylesheet: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.MutationResult{
-		Document:        "stylesheet",
-		DroppedPages:    -1,
-		CacheGeneration: s.app.CacheGeneration(),
-	})
+	s.installStylesheet(w, ss, rt)
 }
 
-// apiStylesheetDelete restores the built-in presentation.
-func (s *Server) apiStylesheetDelete(w http.ResponseWriter, rt reqTrace) {
+// installStylesheet installs a parsed stylesheet — nil restores the
+// built-in presentation (DELETE) — and reports how many cached pages
+// the install dropped.
+func (s *Server) installStylesheet(w http.ResponseWriter, ss *presentation.Stylesheet, rt reqTrace) {
 	mutFrom := rt.now()
-	s.app.SetStylesheet(nil)
+	dropped := s.app.SetStylesheet(ss)
 	rt.span(obs.PhaseMutation, mutFrom)
 	writeJSON(w, http.StatusOK, api.MutationResult{
 		Document:        "stylesheet",
-		DroppedPages:    -1,
+		DroppedPages:    dropped,
 		CacheGeneration: s.app.CacheGeneration(),
 	})
 }
@@ -545,7 +542,7 @@ func (s *Server) apiEvents(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	ring := s.app.Events()
-	recent := ring.Recent(limit)
+	recent := ring.Recent(limit, nil)
 	out := api.EventsResponse{Total: ring.Total(), Events: make([]api.Event, 0, len(recent))}
 	for _, e := range recent {
 		out.Events = append(out.Events, api.Event{
@@ -578,21 +575,23 @@ func (s *Server) apiTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	slowOnly := false
+	var keep func(obs.TraceRecord) bool
 	if q := r.URL.Query().Get("slow"); q != "" {
 		v, err := strconv.ParseBool(q)
 		if err != nil {
 			apiError(w, http.StatusBadRequest, "slow must be a boolean, got %q", q)
 			return
 		}
-		slowOnly = v
+		if v {
+			keep = func(t obs.TraceRecord) bool { return t.Slow }
+		}
 	}
 	if s.tracer == nil {
 		writeJSON(w, http.StatusOK, api.TracesResponse{Enabled: false, Traces: []api.Trace{}})
 		return
 	}
 	ring := s.tracer.Ring()
-	recent := ring.Recent(limit, slowOnly)
+	recent := ring.Recent(limit, keep)
 	out := api.TracesResponse{Enabled: true, Total: ring.Total(), Traces: make([]api.Trace, 0, len(recent))}
 	for _, tr := range recent {
 		t := api.Trace{

@@ -294,6 +294,51 @@ func TestAPIStylesheetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAPIStylesheetReportsDroppedPages: a stylesheet PUT or DELETE
+// reports the blast radius core computed — the warmed member pages, not
+// the hub page, which never consults the stylesheet — and the same
+// count the mutation's /api/v1/events record carries.
+func TestAPIStylesheetReportsDroppedPages(t *testing.T) {
+	_, ts := apiTestServer(t, WithAPIToken(testToken))
+	src := `<s:stylesheet xmlns:s="urn:repro:style">
+  <s:template match="Painting">
+    <html><body><h1><s:value-of select="title"/></h1></body></html>
+  </s:template>
+</s:stylesheet>`
+	warm := func(paths ...string) {
+		t.Helper()
+		for _, p := range paths {
+			firstGet(t, ts.URL+p)
+		}
+	}
+	check := func(method, body string, members int) {
+		t.Helper()
+		resp := apiDo(t, method, ts.URL+api.BasePath+"/stylesheet", testToken, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s stylesheet = %d", method, resp.StatusCode)
+		}
+		var res api.MutationResult
+		decodeBody(t, resp, &res)
+		if res.DroppedPages != members {
+			t.Errorf("%s dropped_pages = %d, want %d (the warmed member pages)", method, res.DroppedPages, members)
+		}
+		var ev api.EventsResponse
+		decodeBody(t, apiDo(t, http.MethodGet, ts.URL+api.BasePath+"/events?limit=1", testToken, ""), &ev)
+		if len(ev.Events) != 1 || ev.Events[0].Kind != "stylesheet" {
+			t.Fatalf("latest event = %+v, want the stylesheet mutation", ev.Events)
+		}
+		if got := ev.Events[0].PagesInvalidated; got != res.DroppedPages {
+			t.Errorf("%s: event pages_invalidated = %d, response dropped_pages = %d", method, got, res.DroppedPages)
+		}
+	}
+
+	warm("/ByAuthor/picasso/guitar.html", "/ByAuthor/picasso/guernica.html",
+		"/ByMovement/cubism/avignon.html", "/ByAuthor/picasso/index.html")
+	check(http.MethodPut, src, 3)
+	warm("/ByAuthor/picasso/guitar.html", "/ByAuthor/picasso/index.html")
+	check(http.MethodDelete, "", 1)
+}
+
 // TestAPIMethodAwareness: API resources answer disallowed methods with
 // 405 and a per-resource Allow header; serving routes do the same with
 // their GET/HEAD surface — the two route classes disagree about
@@ -360,13 +405,13 @@ func TestAPINoStore(t *testing.T) {
 }
 
 // TestAPIModelAndContexts: the read surface exposes the same artifact
-// SpecText renders and the resolved-context inventory.
+// View().SpecText renders and the resolved-context inventory.
 func TestAPIModelAndContexts(t *testing.T) {
 	srv, ts := apiTestServer(t, WithAPIToken(testToken))
 	resp := apiDo(t, http.MethodGet, ts.URL+api.BasePath+"/model", testToken, "")
 	var m api.Model
 	decodeBody(t, resp, &m)
-	if m.SpecText != srv.app.SpecText() {
+	if m.SpecText != srv.app.View().SpecText {
 		t.Errorf("model spec text differs from the live artifact:\n%s", m.SpecText)
 	}
 	if !strings.Contains(m.SpecText, "access=indexed-guided-tour") {

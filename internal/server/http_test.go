@@ -93,12 +93,12 @@ func TestConditionalGetPages(t *testing.T) {
 			t.Fatalf("GET after SetStylesheet = %d, want 304 (linkbase unchanged)", resp.StatusCode)
 		}
 		// An access-structure swap rewrites the linkbase: new tag.
-		if err := srv.app.SetAccessStructure("ByAuthor", navigation.Index{}); err != nil {
+		if _, err := srv.app.SetAccessStructures(map[string]navigation.AccessStructure{"ByAuthor": navigation.Index{}}); err != nil {
 			t.Fatal(err)
 		}
 		resp = condGet(t, ts.URL+"/links.xml", etag)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET after SetAccessStructure = %d, want 200", resp.StatusCode)
+			t.Fatalf("GET after SetAccessStructures = %d, want 200", resp.StatusCode)
 		}
 		if got := resp.Header.Get("ETag"); got == etag || got == "" {
 			t.Errorf("ETag after access swap = %q, want a new tag (old %q)", got, etag)
@@ -112,7 +112,7 @@ func TestConditionalGetPages(t *testing.T) {
 		// document: the validator keeps validating through both.
 		srv.app.SetStylesheet(&presentation.Stylesheet{})
 		srv.app.SetStylesheet(nil)
-		if err := srv.app.SetAccessStructure("ByAuthor", navigation.Index{}); err != nil {
+		if _, err := srv.app.SetAccessStructures(map[string]navigation.AccessStructure{"ByAuthor": navigation.Index{}}); err != nil {
 			t.Fatal(err)
 		}
 		resp := condGet(t, ts.URL+"/data/guitar.xml", etag)

@@ -182,7 +182,7 @@ func BenchmarkServeAfterMutationOtherFamily(b *testing.B) {
 		if i%2 == 0 {
 			as = navigation.IndexedGuidedTour{}
 		}
-		if err := app.SetAccessStructure("ByAuthor", as); err != nil {
+		if _, err := app.SetAccessStructures(map[string]navigation.AccessStructure{"ByAuthor": as}); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()

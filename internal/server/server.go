@@ -53,7 +53,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -93,7 +93,6 @@ const (
 type Server struct {
 	app      *core.App
 	sessions *sessionStore
-	useCache bool
 	persist  storage.Store
 
 	// flush is the persistence queue every store write goes through
@@ -151,13 +150,6 @@ func WithSessionTTL(ttl time.Duration) Option {
 // WithSessionShards sets the session store's shard count.
 func WithSessionShards(n int) Option {
 	return func(s *Server) { s.shards = n }
-}
-
-// WithoutPageCache makes the server weave every page per request
-// instead of serving from the woven-page cache (diagnostics and
-// benchmark baselines).
-func WithoutPageCache() Option {
-	return func(s *Server) { s.useCache = false }
 }
 
 // WithPersistence writes every visitor session through st after each
@@ -232,7 +224,6 @@ func withClock(now func() time.Time) Option {
 func New(app *core.App, opts ...Option) *Server {
 	s := &Server{
 		app:           app,
-		useCache:      true,
 		ttl:           DefaultSessionTTL,
 		shards:        DefaultSessionShards,
 		flushInterval: DefaultFlushInterval,
@@ -542,15 +533,13 @@ func (s *Server) serveSiteMap(w http.ResponseWriter) {
 	var sb strings.Builder
 	sb.WriteString("<!DOCTYPE html>\n<html><head><title>Site map</title></head><body>\n")
 	sb.WriteString("<h1>Navigational contexts</h1>\n<ul>\n")
-	var names []string
-	for _, rc := range s.app.Resolved().Contexts {
-		names = append(names, rc.Name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rc := s.app.Resolved().Context(name)
+	// One snapshot: a rebuild between two Resolved calls can drop a
+	// context (an emptied Where-filtered group is not materialised).
+	contexts := slices.Clone(s.app.Resolved().Contexts)
+	slices.SortFunc(contexts, func(a, b *navigation.ResolvedContext) int { return strings.Compare(a.Name, b.Name) })
+	for _, rc := range contexts {
 		fmt.Fprintf(&sb, "<li><a href=\"/%s\">%s</a> (%d members, %s)</li>\n",
-			core.PagePath(name, rc.EntryNode()), name, len(rc.Members), rc.Def.Access.Kind())
+			core.PagePath(rc.Name, rc.EntryNode()), rc.Name, len(rc.Members), rc.Def.Access.Kind())
 	}
 	sb.WriteString("</ul>\n<p><a href=\"/links.xml\">links.xml</a></p>\n</body></html>\n")
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -655,26 +644,15 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, path string, 
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	var page *core.Page
+	// The outcome tells the trace a cache hit from a single-flight join
+	// from a weave.
 	renderFrom := rt.now()
-	if s.useCache {
-		// The stat variant reports how the page was obtained, so the trace
-		// distinguishes a cache hit from a single-flight join from a weave.
-		var outcome core.CacheOutcome
-		page, outcome, err = s.app.RenderPageCachedStat(contextName, nodeID)
-		if err == nil {
-			rt.span(cachePhase[outcome], renderFrom)
-		}
-	} else {
-		page, err = s.app.RenderPage(contextName, nodeID)
-		if err == nil {
-			rt.span(obs.PhaseWeave, renderFrom)
-		}
-	}
+	page, outcome, err := s.app.RenderPageCachedStat(contextName, nodeID)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
+	rt.span(cachePhase[outcome], renderFrom)
 	id, sess := s.session(w, r, rt)
 	var prevCtx *navigation.ResolvedContext
 	var prevNode string
@@ -682,7 +660,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, path string, 
 		prevCtx, prevNode = sess.Location()
 	}
 	if err := sess.EnterContext(contextName, nodeID); err != nil {
-		// RenderPage accepted the pair, so the session must too;
+		// The render accepted the pair, so the session must too;
 		// failing here indicates a model/session mismatch.
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

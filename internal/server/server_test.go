@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -55,6 +56,70 @@ func TestSiteMap(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("site map missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestSiteMapDuringContextChurn: a document edit that empties a
+// Where-filtered group drops that context from the resolved model (empty
+// groups are not materialised), so the site map must render from one
+// resolved snapshot — looking a listed context up again in a newer model
+// finds nothing. Run with -race.
+func TestSiteMapDuringContextChurn(t *testing.T) {
+	model := museum.Model(navigation.IndexedGuidedTour{})
+	// Dali's only oil painting is memory: toggling its technique empties
+	// and refills the OilByAuthor:dali group.
+	model.MustAddContext(&navigation.ContextDef{
+		Name: "OilByAuthor", NodeClass: "PaintingNode", GroupBy: "paints",
+		Where: "technique = 'Oil on canvas'", Access: navigation.Index{},
+	})
+	app, err := core.NewApp(museum.PaperStore(), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(app))
+	defer ts.Close()
+
+	stop := make(chan struct{})
+	edits := make(chan error, 1)
+	go func() {
+		techniques := []string{"Watercolor", "Oil on canvas"}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				edits <- nil
+				return
+			default:
+			}
+			if _, err := app.EditDocument("memory", map[string]string{"technique": techniques[i%2]}); err != nil {
+				edits <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				resp, err := ts.Client().Get(ts.URL + "/")
+				if err != nil {
+					t.Errorf("GET / during churn: %v", err)
+					return
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "ByAuthor:picasso") {
+					t.Errorf("GET / during churn = %d:\n%s", resp.StatusCode, body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-edits; err != nil {
+		t.Fatal(err)
 	}
 }
 

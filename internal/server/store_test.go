@@ -171,25 +171,27 @@ func TestSessionCookieAttributes(t *testing.T) {
 	}
 }
 
-// TestCachedServingMatchesUncached compares a cached server's pages
-// against an uncached one's byte for byte.
+// TestCachedServingMatchesUncached compares the server's pages, on the
+// leading miss and on a cache hit, against an uncached weave
+// (core.App.RenderPage) byte for byte.
 func TestCachedServingMatchesUncached(t *testing.T) {
 	app := testApp(t)
 	cached := httptest.NewServer(New(app))
 	defer cached.Close()
-	uncached := httptest.NewServer(New(app, WithoutPageCache()))
-	defer uncached.Close()
 
-	for _, path := range []string{
-		"/ByAuthor/picasso/guitar.html",
-		"/ByAuthor/picasso/index.html",
-		"/ByMovement/cubism/avignon.html",
+	for _, tc := range []struct{ path, context, node string }{
+		{"/ByAuthor/picasso/guitar.html", "ByAuthor:picasso", "guitar"},
+		{"/ByAuthor/picasso/index.html", "ByAuthor:picasso", navigation.HubID},
+		{"/ByMovement/cubism/avignon.html", "ByMovement:cubism", "avignon"},
 	} {
-		_, hot := get(t, cached.Client(), cached.URL+path)
-		_, hot2 := get(t, cached.Client(), cached.URL+path) // cache hit
-		_, cold := get(t, uncached.Client(), uncached.URL+path)
-		if hot != cold || hot2 != cold {
-			t.Errorf("cached page %s differs from uncached render", path)
+		_, hot := get(t, cached.Client(), cached.URL+tc.path)
+		_, hot2 := get(t, cached.Client(), cached.URL+tc.path) // cache hit
+		cold, err := app.RenderPage(tc.context, tc.node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hot != string(cold.Body) || hot2 != string(cold.Body) {
+			t.Errorf("cached page %s differs from uncached render", tc.path)
 		}
 	}
 	if app.CachedPages() == 0 {
@@ -198,7 +200,7 @@ func TestCachedServingMatchesUncached(t *testing.T) {
 }
 
 // TestCacheInvalidationOverHTTP asserts the paper's change-cost scenario
-// under cached serving: after SetAccessStructure no stale page may be
+// under cached serving: after SetAccessStructures no stale page may be
 // served.
 func TestCacheInvalidationOverHTTP(t *testing.T) {
 	app, err := core.NewApp(museum.PaperStore(), museum.Model(navigation.Index{}))
@@ -212,7 +214,7 @@ func TestCacheInvalidationOverHTTP(t *testing.T) {
 	if strings.Contains(before, "nav-next") {
 		t.Fatal("Index page should not have Next")
 	}
-	if err := app.SetAccessStructure("ByAuthor", navigation.IndexedGuidedTour{}); err != nil {
+	if _, err := app.SetAccessStructures(map[string]navigation.AccessStructure{"ByAuthor": navigation.IndexedGuidedTour{}}); err != nil {
 		t.Fatal(err)
 	}
 	_, after := get(t, ts.Client(), ts.URL+"/ByAuthor/picasso/guitar.html")

@@ -16,7 +16,11 @@
 // structure is generated into an XLink linkbase (links.xml); presentation
 // is a template stylesheet; and the navigation aspect weaves the three at
 // page-production join points. Changing an access structure — the paper's
-// motivating maintenance scenario — is one SetAccessStructure call.
+// motivating maintenance scenario — is one SetAccessStructures call:
+//
+//	app.SetAccessStructures(map[string]navaspect.AccessStructure{
+//		"ByAuthor": navaspect.IndexedGuidedTour{},
+//	})
 //
 // The facade re-exports the types a downstream user needs; the full
 // machinery lives in the internal packages (xmldom, xpath, xpointer,

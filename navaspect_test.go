@@ -61,7 +61,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeAccessSwap(t *testing.T) {
 	app := buildApp(t, navaspect.Index{})
-	if err := app.SetAccessStructure("ByAuthor", navaspect.IndexedGuidedTour{}); err != nil {
+	if _, err := app.SetAccessStructures(map[string]navaspect.AccessStructure{"ByAuthor": navaspect.IndexedGuidedTour{}}); err != nil {
 		t.Fatal(err)
 	}
 	page, err := app.RenderPage("ByAuthor:picasso", "guitar")
