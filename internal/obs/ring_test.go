@@ -106,3 +106,54 @@ func seqOf(v any) uint64 {
 	}
 	panic("seqOf: unknown ring element")
 }
+
+// TestEventRing: a mutation-event ring of 4 holding 6 records keeps the
+// newest 4, Seq never renumbers, and Recent returns newest first.
+func TestEventRing(t *testing.T) {
+	r := NewRing[MutationEvent](4)
+	for i := 0; i < 6; i++ {
+		e := r.Record(MutationEvent{Kind: "structure-swap", PagesInvalidated: i})
+		if e.Seq != uint64(i) {
+			t.Fatalf("Record #%d stamped Seq %d", i, e.Seq)
+		}
+	}
+	if r.Total() != 6 {
+		t.Errorf("Total = %d, want 6", r.Total())
+	}
+	got := r.Recent(0, nil)
+	if len(got) != 4 {
+		t.Fatalf("Recent(0) len = %d, want 4", len(got))
+	}
+	for i, e := range got {
+		if want := uint64(5 - i); e.Seq != want || e.PagesInvalidated != int(want) {
+			t.Errorf("Recent[%d] = seq %d record %d, want %d", i, e.Seq, e.PagesInvalidated, want)
+		}
+	}
+	if two := r.Recent(2, nil); len(two) != 2 || two[0].Seq != 5 || two[1].Seq != 4 {
+		t.Errorf("Recent(2) = %+v", two)
+	}
+}
+
+// TestEventRingWraparoundSeq: overwriting old events never renumbers —
+// after 2×capacity records the retained window is the newest capacity
+// seqs, contiguous and descending.
+func TestEventRingWraparoundSeq(t *testing.T) {
+	r := NewRing[MutationEvent](3)
+	for i := 0; i < 6; i++ {
+		if e := r.Record(MutationEvent{Kind: "document"}); e.Seq != uint64(i) {
+			t.Fatalf("Record #%d stamped Seq %d", i, e.Seq)
+		}
+	}
+	got := r.Recent(0, nil)
+	if len(got) != 3 {
+		t.Fatalf("Recent(0) len = %d, want 3", len(got))
+	}
+	for i, e := range got {
+		if want := uint64(5 - i); e.Seq != want {
+			t.Errorf("Recent[%d].Seq = %d, want %d", i, e.Seq, want)
+		}
+	}
+	if r.Total() != 6 {
+		t.Errorf("Total = %d, want 6", r.Total())
+	}
+}
